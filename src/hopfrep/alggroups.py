@@ -53,15 +53,6 @@ class LieDataError(ValueError):
 
 
 @dataclass(frozen=True)
-class MatrixShape:
-    """An m x m matrix of coordinates together with its antipode matrix."""
-
-    size: int
-    entries: tuple[tuple[Polynomial, ...], ...]
-    antipode_entries: tuple[tuple[Polynomial, ...], ...]
-
-
-@dataclass(frozen=True)
 class PresentedCommHopf:
     """Coordinate ring of an affine algebraic group, as explicit polynomial data.
 
@@ -69,7 +60,8 @@ class PresentedCommHopf:
     ring (every variable once primed, once double-primed, in that order);
     ``antipode[i]`` lives in the base ring; ``counit[i]`` is the value at
     the identity point.  ``copy_templates[i]`` names variable ``i`` of copy
-    ``c`` via ``.format(c=c)``.
+    ``c`` via ``.format(c=c)``.  ``matrix``, when present, is a square matrix
+    of coordinate polynomials realizing the group as a matrix group.
     """
 
     name: str
@@ -79,7 +71,7 @@ class PresentedCommHopf:
     comultiplication: tuple[Polynomial, ...]
     antipode: tuple[Polynomial, ...]
     copy_templates: tuple[str, ...]
-    matrix_shape: MatrixShape | None = None
+    matrix: tuple[tuple[Polynomial, ...], ...] | None = None
 
     @property
     def doubled_ring(self) -> Ring:
@@ -119,35 +111,35 @@ def block_ideal_generators(
     return [g.rename(ring, mapping) for g in group.defining_ideal.generators]
 
 
-def _matrix_for_copy(
-    group: PresentedCommHopf, copy: int, ring: Ring, antipode: bool
-) -> list[list[Polynomial]]:
-    shape = group.matrix_shape
-    if shape is None:
-        raise MissingMatrixShapeError(f"group {group.name} has no matrix shape")
-    source = shape.antipode_entries if antipode else shape.entries
-    mapping = block_map(group, copy)
-    return [[entry.rename(ring, mapping) for entry in row] for row in source]
+def pullback(
+    word: FreeWord,
+    group: PresentedCommHopf,
+    ring: Ring | None = None,
+    copy_base: int = 1,
+) -> tuple[Polynomial, ...]:
+    """Every coordinate of ``group`` evaluated on the word, in variable order.
 
-
-def _matrix_mul(
-    a: Sequence[Sequence[Polynomial]], b: Sequence[Sequence[Polynomial]], ring: Ring
-) -> list[list[Polynomial]]:
-    size = len(a)
-    return [
-        [
-            sum((a[i][k] * b[k][j] for k in range(size)), Polynomial.zero(ring))
-            for j in range(size)
-        ]
-        for i in range(size)
-    ]
-
-
-def _matrix_identity(size: int, ring: Ring) -> list[list[Polynomial]]:
-    return [
-        [Polynomial.one(ring) if i == j else Polynomial.zero(ring) for j in range(size)]
-        for i in range(size)
-    ]
+    Letter ``i`` is the point of copy ``copy_base + i - 1``.  The value is
+    folded through the comultiplication: the primed variables take the
+    prefix's values and the double-primed ones the letter's block, which for
+    an inverse letter is the antipode renamed into that copy.  The empty
+    word gives the counit.
+    """
+    if ring is None:
+        ring = block_ring(group, [copy_base + i for i in range(word.rank)])
+    values = [Polynomial.constant(ring, e) for e in group.counit]
+    blocks: dict[tuple[int, int], list[Polynomial]] = {}
+    for letter in word.letters:
+        if letter not in blocks:
+            index, exponent = letter
+            mapping = block_map(group, copy_base + index - 1)
+            if exponent == 1:
+                blocks[letter] = [Polynomial.variable(ring, mapping[v]) for v in group.variables]
+            else:
+                blocks[letter] = [s.rename(ring, mapping) for s in group.antipode]
+        images = dict(zip(group.doubled_ring, values + blocks[letter]))
+        values = [delta.substitute(images) for delta in group.comultiplication]
+    return tuple(values)
 
 
 def matrix_word(
@@ -156,32 +148,16 @@ def matrix_word(
     ring: Ring | None = None,
     copy_base: int = 1,
 ) -> list[list[Polynomial]]:
-    """Symbolic product of copy matrices along a word.
+    """The group's matrix evaluated on a word: its entries pulled back along it.
 
-    Letter ``i`` uses the matrix of copy ``copy_base + i - 1``; a negative
-    exponent uses that copy's antipode (adjugate) matrix instead, so the
-    result is honestly polynomial.  The empty word gives the identity.
+    Letter ``i`` is copy ``copy_base + i - 1``; inverse letters go through
+    the antipode, so the result is honestly polynomial.  The empty word
+    gives the identity.
     """
-    if group.matrix_shape is None:
+    if group.matrix is None:
         raise MissingMatrixShapeError(f"group {group.name} has no matrix shape")
-    copies = [copy_base + i for i in range(word.rank)]
-    if ring is None:
-        ring = block_ring(group, copies)
-    plain = {}
-    inverse = {}
-    result = _matrix_identity(group.matrix_shape.size, ring)
-    for index, exponent in word.letters:
-        copy = copy_base + index - 1
-        if exponent == 1:
-            if index not in plain:
-                plain[index] = _matrix_for_copy(group, copy, ring, antipode=False)
-            factor = plain[index]
-        else:
-            if index not in inverse:
-                inverse[index] = _matrix_for_copy(group, copy, ring, antipode=True)
-            factor = inverse[index]
-        result = _matrix_mul(result, factor, ring)
-    return result
+    images = dict(zip(group.variables, pullback(word, group, ring, copy_base)))
+    return [[entry.substitute(images) for entry in row] for row in group.matrix]
 
 
 def trace_of_word(
@@ -199,17 +175,12 @@ def trace_of_word(
 def conjugation_substitution(
     p: Polynomial, group: PresentedCommHopf, n_copies: int | None = None
 ) -> Polynomial:
-    """Substitute every copy's matrix X by A X S(A), A the conjugator copy 0.
+    """Substitute every copy's point g by x0 g x0^-1, x0 the conjugator copy 0.
 
     ``p`` must live in the block ring of copies ``1..n``; the result lives
-    in the ring with the conjugator block prepended.  Variables that are
-    not matrix entries (determinant inverses) are fixed, which is correct
-    up to the conjugator's defining ideal since conjugation preserves the
-    determinant.
+    in the ring with the conjugator block prepended.  Each coordinate of
+    copy ``c`` becomes its pullback along the word ``x0 xc x0^-1``.
     """
-    shape = group.matrix_shape
-    if shape is None:
-        raise MissingMatrixShapeError(f"group {group.name} has no matrix shape")
     if n_copies is None:
         if len(p.ring) % len(group.variables):
             raise GroupDataError("polynomial ring is not a whole number of blocks")
@@ -218,29 +189,11 @@ def conjugation_substitution(
     if p.ring != block_ring(group, copies):
         raise GroupDataError("polynomial does not live in the copy block ring")
     extended = block_ring(group, [0] + copies)
-
-    entry_names = {}
-    for i in range(shape.size):
-        for j in range(shape.size):
-            entry = shape.entries[i][j]
-            if len(entry.terms) == 1 and sum(entry.terms[0][0]) == 1 and entry.terms[0][1] == 1:
-                position = entry.terms[0][0].index(1)
-                entry_names[group.variables[position]] = (i, j)
-
-    conjugator = _matrix_for_copy(group, 0, extended, antipode=False)
-    conjugator_inv = _matrix_for_copy(group, 0, extended, antipode=True)
     images: dict[str, Polynomial] = {}
     for c in copies:
-        mapping = block_map(group, c)
-        x = _matrix_for_copy(group, c, extended, antipode=False)
-        conjugated = _matrix_mul(_matrix_mul(conjugator, x, extended), conjugator_inv, extended)
-        for v in group.variables:
-            name = mapping[v]
-            if v in entry_names:
-                i, j = entry_names[v]
-                images[name] = conjugated[i][j]
-            else:
-                images[name] = Polynomial.variable(extended, name)
+        word = FreeWord(n_copies + 1, ((1, 1), (c + 1, 1), (1, -1)))
+        conjugated = pullback(word, group, ring=extended, copy_base=0)
+        images.update(zip(block_map(group, c).values(), conjugated))
     return p.substitute(images)
 
 
@@ -331,8 +284,9 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
     """Check the structural data really is a Hopf algebra presentation.
 
     Verifies that the counit is a point of the variety, that antipode and
-    comultiplication map the ideal into the (extended) ideal, and that a
-    matrix shape satisfies X * S(X) = identity modulo the ideal.
+    comultiplication map the ideal into the (extended) ideal, and the
+    antipode axiom: Delta(v) with v' -> S(v), v'' -> v is eps(v) modulo
+    the ideal, for every coordinate v.
     """
     point = group.counit_point()
     for g in group.defining_ideal.generators:
@@ -360,22 +314,13 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
                 f"{group.name}: comultiplication does not preserve the ideal"
             )
 
-    shape = group.matrix_shape
-    if shape is not None:
-        ring = group.variables
-        product = _matrix_mul(shape.entries, shape.antipode_entries, ring)
-        identity = _matrix_identity(shape.size, ring)
-        for i in range(shape.size):
-            for j in range(shape.size):
-                if not ideal_member(product[i][j] - identity[i][j], gb):
-                    raise GroupDataError(
-                        f"{group.name}: X * S(X) is not the identity modulo the ideal"
-                    )
-                mapped = shape.entries[i][j].substitute(antipode_map)
-                if not ideal_member(mapped - shape.antipode_entries[i][j], gb):
-                    raise GroupDataError(
-                        f"{group.name}: antipode matrix disagrees with the antipode map"
-                    )
+    ring = group.variables
+    inverse_then_point = dict(
+        zip(doubled, group.antipode + tuple(Polynomial.variable(ring, v) for v in ring))
+    )
+    for v, delta, value in zip(ring, group.comultiplication, group.counit):
+        if not ideal_member(delta.substitute(inverse_then_point) - value, gb):
+            raise GroupDataError(f"{group.name}: antipode axiom fails at {v}")
 
 
 def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
@@ -396,13 +341,11 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
 
     if has_t:
         ideal = Ideal(ring, (var["t"] * det - 1,))
-        antipode_matrix = [[adj[i][j] * var["t"] for j in range(size)] for i in range(size)]
         antipode = tuple(
-            antipode_matrix[i][j] for i in range(size) for j in range(size)
+            adj[i][j] * var["t"] for i in range(size) for j in range(size)
         ) + (det,)
     else:
         ideal = Ideal(ring, (det - 1,))
-        antipode_matrix = adj
         antipode = tuple(adj[i][j] for i in range(size) for j in range(size))
 
     doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
@@ -433,11 +376,7 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
         comultiplication=tuple(comultiplication),
         antipode=antipode,
         copy_templates=templates,
-        matrix_shape=MatrixShape(
-            size=size,
-            entries=tuple(tuple(row) for row in x),
-            antipode_entries=tuple(tuple(row) for row in antipode_matrix),
-        ),
+        matrix=tuple(tuple(row) for row in x),
     )
     _validate_hopf(group)
     return group
@@ -467,9 +406,6 @@ def _torus_group(k: int) -> PresentedCommHopf:
     antipode = []
     for z, t in pairs:
         antipode.extend([var[t], var[z]])
-    shape = None
-    if k == 1:
-        shape = MatrixShape(1, ((var["z"],),), ((var["t"],),))
     group = PresentedCommHopf(
         name=f"torus:{k}",
         variables=variables,
@@ -478,7 +414,7 @@ def _torus_group(k: int) -> PresentedCommHopf:
         comultiplication=comultiplication,
         antipode=tuple(antipode),
         copy_templates=templates,
-        matrix_shape=shape,
+        matrix=((var["z"],),) if k == 1 else None,
     )
     _validate_hopf(group)
     return group
@@ -498,32 +434,43 @@ def _additive_group() -> PresentedCommHopf:
         ),
         antipode=(-Polynomial.variable(ring, "u"),),
         copy_templates=("u{c}",),
-        matrix_shape=None,
     )
     _validate_hopf(group)
     return group
 
 
+def _json_field(data: Mapping, key: str):
+    if key not in data:
+        raise GroupDataError(f'group JSON: missing key "{key}"')
+    return data[key]
+
+
+def _per_variable(data: Mapping, key: str, variables: Sequence[str]) -> list:
+    table = _json_field(data, key)
+    for v in variables:
+        if v not in table:
+            raise GroupDataError(f'group JSON: "{key}" has no entry for variable {v!r}')
+    return [table[v] for v in variables]
+
+
 def _group_from_json(data: Mapping) -> PresentedCommHopf:
-    variables = tuple(data["variables"])
+    variables = tuple(_json_field(data, "variables"))
     ring = variables
     doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
     ideal = Ideal(ring, tuple(parse_polynomial(s, ring) for s in data.get("ideal", [])))
-    counit = tuple(Fraction(str(data["counit"][v])) for v in variables)
+    counit = tuple(Fraction(str(x)) for x in _per_variable(data, "counit", variables))
     comultiplication = tuple(
-        parse_polynomial(data["delta"][v], doubled) for v in variables
+        parse_polynomial(s, doubled) for s in _per_variable(data, "delta", variables)
     )
-    antipode = tuple(parse_polynomial(data["antipode"][v], ring) for v in variables)
-    shape = None
+    antipode = tuple(
+        parse_polynomial(s, ring) for s in _per_variable(data, "antipode", variables)
+    )
+    matrix = None
     if "matrix" in data:
-        entries = tuple(
-            tuple(parse_polynomial(s, ring) for s in row) for row in data["matrix"]
-        )
-        anti = tuple(
-            tuple(parse_polynomial(s, ring) for s in row)
-            for row in data["antipode_matrix"]
-        )
-        shape = MatrixShape(len(entries), entries, anti)
+        rows = data["matrix"]
+        if not rows or any(len(row) != len(rows) for row in rows):
+            raise GroupDataError('group JSON: "matrix" must be a non-empty square matrix')
+        matrix = tuple(tuple(parse_polynomial(s, ring) for s in row) for row in rows)
     group = PresentedCommHopf(
         name=str(data.get("name", "custom")),
         variables=variables,
@@ -532,7 +479,7 @@ def _group_from_json(data: Mapping) -> PresentedCommHopf:
         comultiplication=comultiplication,
         antipode=antipode,
         copy_templates=tuple(f"{v}_{{c}}" for v in variables),
-        matrix_shape=shape,
+        matrix=matrix,
     )
     _validate_hopf(group)
     return group
@@ -724,6 +671,8 @@ class LiePresentation:
     def from_json(data) -> "LiePresentation":
         if isinstance(data, (str, Path)):
             data = json.loads(Path(data).read_text())
+        if "generators" not in data:
+            raise LieParseError('presentation JSON: missing key "generators"')
         generators = tuple(data["generators"])
         relators = tuple(
             parse_lie_expr(text, generators) for text in data.get("relators", [])

@@ -4,13 +4,15 @@ Subcommands map one-to-one onto the library: ``axioms``, ``normalize``,
 ``reduce``, ``rep-ideal``, ``lie-rep-ideal``, ``rep-count``, ``cotangent``
 and ``invariance``.  Output is deterministic (no timestamps, fixed
 ordering); ``--format json`` is the stable machine contract, text is for
-humans.  Exit codes: 0 success, 1 verification failure, 2 input error.
+humans.  Exit codes: 0 success, 1 verification failure, 2 input error;
+a reader that closes stdout early ends the command quietly with 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import IO, Sequence
 
@@ -290,7 +292,16 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
 
 
 def main() -> None:
-    raise SystemExit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early (``| head``).  Point stdout at devnull so the
+        # flush at interpreter exit cannot raise again, and exit with 128 +
+        # SIGPIPE, the status of a process stopped by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -211,6 +211,8 @@ class GroupPresentation:
     def from_json(data) -> "GroupPresentation":
         if isinstance(data, (str, Path)):
             data = json.loads(Path(data).read_text())
+        if "generators" not in data:
+            raise WordError('presentation JSON: missing key "generators"')
         generators = tuple(data["generators"])
         relators = tuple(
             parse_word(text, generators) for text in data.get("relators", [])

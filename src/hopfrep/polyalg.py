@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -203,8 +204,9 @@ class Polynomial:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- substitution and evaluation ----------------------------------
@@ -230,14 +232,26 @@ class Polynomial:
                 raise RingMismatchError("substitution images live in different rings")
         assert target is not None
         ordered = [images[v] for v in self.ring]
-        result = Polynomial.zero(target)
+        if len(self.terms) == 1 and self.terms[0][1] == 1 and sum(self.terms[0][0]) == 1:
+            # A bare variable maps to its image; sharing it avoids copying a
+            # large image, as when matrix entries take a word's pullback.
+            return ordered[self.terms[0][0].index(1)]
+        factors: dict[tuple[int, int], tuple[tuple[Exponents, Fraction], ...]] = {}
+        unit = (0,) * len(target)
+        acc: dict[Exponents, Fraction] = {}
         for exponents, coeff in self.terms:
-            term = Polynomial.constant(target, coeff)
-            for image, power in zip(ordered, exponents):
-                if power:
-                    term = term * image**power
-            result = result + term
-        return result
+            term = {unit: coeff}
+            for position, power in enumerate(exponents):
+                if not power:
+                    continue
+                factor = factors.get((position, power))
+                if factor is None:
+                    image = ordered[position]
+                    factor = (image if power == 1 else image**power).terms
+                    factors[(position, power)] = factor
+                term = _mul_terms(term, factor)
+            _accumulate(acc, term.items())
+        return Polynomial.from_dict(target, acc)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; every ring variable needs a value."""
@@ -275,6 +289,23 @@ class Polynomial:
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+
+def _mul_terms(
+    left: Mapping[Exponents, Fraction], right: Sequence[tuple[Exponents, Fraction]]
+) -> dict[Exponents, Fraction]:
+    """Product of a term dict and a term sequence, as an uncanonicalized term dict."""
+    out: dict[Exponents, Fraction] = {}
+    for e1, c1 in left.items():
+        _accumulate(out, ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in right))
+    return out
+
+
+def _accumulate(acc: dict[Exponents, Fraction], terms) -> None:
+    """Add terms into ``acc`` in place (zero sums stay; ``from_dict`` drops them)."""
+    for key, value in terms:
+        previous = acc.get(key)
+        acc[key] = value if previous is None else previous + value
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:

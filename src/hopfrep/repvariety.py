@@ -93,7 +93,7 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
     yields exactly the copied defining ideals and nothing else.
     """
     n = group.n_generators
-    if group.relators and target.matrix_shape is None:
+    if group.relators and target.matrix is None:
         raise MissingMatrixShapeError(
             f"target {target.name} has no matrix shape for relator equations"
         )

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -24,7 +26,6 @@ from hopfrep.alggroups import (
     matrix_word,
     parse_lie_expr,
     trace_of_word,
-    _matrix_mul,
 )
 from hopfrep.groups import FreeWord, parse_word
 from hopfrep.polyalg import (
@@ -35,6 +36,22 @@ from hopfrep.polyalg import (
     ideal_member,
     parse_polynomial,
 )
+
+from conftest import random_free_word
+
+
+def _matrix_mul(
+    a: Sequence[Sequence[Polynomial]], b: Sequence[Sequence[Polynomial]], ring
+) -> list[list[Polynomial]]:
+    """Reference matrix product of polynomial matrices."""
+    size = len(a)
+    return [
+        [
+            sum((a[i][k] * b[k][j] for k in range(size)), Polynomial.zero(ring))
+            for j in range(size)
+        ]
+        for i in range(size)
+    ]
 
 
 # -- construction ------------------------------------------------------------
@@ -81,10 +98,11 @@ def test_counit_axiom_legs(sl2, gl2, torus1, additive):
 
 
 def test_antipode_is_inverse_matrix(gl2):
-    # X * S(X) is the identity modulo the defining ideal
-    shape = gl2.matrix_shape
+    # X * S(X) is the identity modulo the defining ideal, S(X) taken from the antipode map
+    antipode_map = dict(zip(gl2.variables, gl2.antipode))
+    inverse = [[entry.substitute(antipode_map) for entry in row] for row in gl2.matrix]
     gb = groebner(gl2.defining_ideal)
-    product = _matrix_mul(shape.entries, shape.antipode_entries, gl2.variables)
+    product = _matrix_mul(gl2.matrix, inverse, gl2.variables)
     for i in range(2):
         for j in range(2):
             assert ideal_member(product[i][j] - (1 if i == j else 0), gb)
@@ -128,6 +146,21 @@ def test_custom_group_json(tmp_path):
         make_group(str(path))
 
 
+def test_custom_group_json_rejects_non_square_matrix(tmp_path):
+    data = {
+        "variables": ["z", "w"],
+        "ideal": ["z*w - 1"],
+        "counit": {"z": "1", "w": "1"},
+        "delta": {"z": "z'*z''", "w": "w'*w''"},
+        "antipode": {"z": "w", "w": "z"},
+        "matrix": [["z", "w"]],
+    }
+    path = tmp_path / "units.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(GroupDataError, match="square"):
+        make_group(str(path))
+
+
 # -- matrix words -------------------------------------------------------------
 
 
@@ -165,6 +198,21 @@ def test_matrix_word_empty_word_is_identity(sl2):
     m = matrix_word(FreeWord(2), sl2)
     ring = block_ring(sl2, [1, 2])
     assert m[0][0] == Polynomial.one(ring) and m[0][1] == Polynomial.zero(ring)
+
+
+@pytest.mark.parametrize("spec", ["sl:2", "gl:2"])
+def test_matrix_word_is_multiplicative(spec):
+    # splitting a reduced word anywhere (ends included) multiplies the halves' matrices
+    group = make_group(spec)
+    rng = random.Random(20161008)
+    ring = block_ring(group, [1, 2])
+    for _ in range(20):
+        word = random_free_word(rng, 2, 6)
+        for cut in range(len(word.letters) + 1):
+            left = FreeWord(2, word.letters[:cut])
+            right = FreeWord(2, word.letters[cut:])
+            product = _matrix_mul(matrix_word(left, group), matrix_word(right, group), ring)
+            assert matrix_word(word, group) == product
 
 
 def test_matrix_word_requires_shape(additive):

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -148,6 +152,83 @@ def test_input_errors_exit_two(tmp_path, z2_file):
         code, out, err = invoke(*argv)
         assert code == 2, argv
         assert err.startswith("error:"), argv
+
+
+def test_missing_presentation_key_is_named(tmp_path):
+    path = tmp_path / "nogens.json"
+    path.write_text(json.dumps({"relators": []}))
+    for argv in (
+        ("rep-count", "--group", str(path), "--finite", "sym:3"),
+        ("lie-rep-ideal", "--source", str(path), "--target", "sl2"),
+    ):
+        code, out, err = invoke(*argv)
+        assert code == 2, argv
+        assert err == 'error: presentation JSON: missing key "generators"\n', argv
+
+
+def test_missing_group_json_entry_is_named(tmp_path, z2_file):
+    path = tmp_path / "units.json"
+    path.write_text(
+        json.dumps(
+            {
+                "variables": ["z", "w"],
+                "ideal": ["z*w - 1"],
+                "counit": {"z": "1", "w": "1"},
+                "delta": {"z": "z'*z''"},
+                "antipode": {"z": "w", "w": "z"},
+            }
+        )
+    )
+    code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", str(path))
+    assert code == 2
+    assert err == """error: group JSON: "delta" has no entry for variable 'w'\n"""
+
+
+# A custom SL(2) whose matrix entry 2*b is not a bare coordinate: conjugation
+# must still move b, so the trace of a b stays invariant.
+SCALED_SL2 = {
+    "variables": ["a", "b", "c", "d"],
+    "ideal": ["a*d - 2*b*c - 1"],
+    "counit": {"a": 1, "b": 0, "c": 0, "d": 1},
+    "delta": {
+        "a": "a'*a'' + 2*b'*c''",
+        "b": "a'*b'' + b'*d''",
+        "c": "c'*a'' + d'*c''",
+        "d": "2*c'*b'' + d'*d''",
+    },
+    "antipode": {"a": "d", "b": "-1*b", "c": "-1*c", "d": "a"},
+    "matrix": [["a", "2*b"], ["c", "d"]],
+    "antipode_matrix": [["d", "-2*b"], ["-1*c", "a"]],
+}
+
+
+def test_invariance_scaled_matrix_entries(tmp_path, f2_file):
+    path = tmp_path / "scaled_sl2.json"
+    path.write_text(json.dumps(SCALED_SL2))
+    code, out, err = invoke(
+        "invariance", "--word", "a b", "--group", f2_file, "--target", str(path)
+    )
+    assert (code, out, err) == (0, "invariant: true\n", "")
+
+
+def test_closed_stdout_exits_quietly():
+    # No reader at all: the first write hits a broken pipe.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "hopfrep.cli", "axioms"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 141
 
 
 def test_unknown_flags_rejected(z2_file):
