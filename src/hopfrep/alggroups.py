@@ -286,35 +286,50 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
     Verifies that the counit is a point of the variety, that antipode and
     comultiplication map the ideal into the (extended) ideal, and the
     antipode axiom: Delta(v) with v' -> S(v), v'' -> v is eps(v) modulo
-    the ideal, for every coordinate v.
+    the ideal, for every coordinate v.  A matrix, when present, must be a
+    representation: M(eps) = I, and M(Delta) = M'M'' modulo the doubled
+    ideal.
     """
+    ring = group.variables
     point = group.counit_point()
     for g in group.defining_ideal.generators:
         if g.evaluate(point) != 0:
-            raise GroupDataError(
-                f"{group.name}: counit is not a zero of generator {g}"
-            )
+            raise GroupDataError(f"{group.name}: counit is not a zero of generator {g}")
 
     gb = groebner(group.defining_ideal, GREVLEX)
-    antipode_map = dict(zip(group.variables, group.antipode))
+    antipode_map = dict(zip(ring, group.antipode))
     for g in group.defining_ideal.generators:
         if not ideal_member(g.substitute(antipode_map), gb):
             raise GroupDataError(f"{group.name}: antipode does not preserve the ideal")
 
     doubled = group.doubled_ring
-    doubled_generators = []
-    for g in group.defining_ideal.generators:
-        doubled_generators.append(g.rename(doubled, {v: f"{v}'" for v in group.variables}))
-        doubled_generators.append(g.rename(doubled, {v: f"{v}''" for v in group.variables}))
-    doubled_gb = groebner(Ideal(doubled, tuple(doubled_generators)), GREVLEX)
-    comult_map = dict(zip(group.variables, group.comultiplication))
+    renamings = [{v: v + mark for v in ring} for mark in ("'", "''")]
+    doubled_generators = tuple(
+        g.rename(doubled, names) for g in group.defining_ideal.generators for names in renamings
+    )
+    doubled_gb = groebner(Ideal(doubled, doubled_generators), GREVLEX)
+    comult_map = dict(zip(ring, group.comultiplication))
     for g in group.defining_ideal.generators:
         if not ideal_member(g.substitute(comult_map), doubled_gb):
-            raise GroupDataError(
-                f"{group.name}: comultiplication does not preserve the ideal"
-            )
+            raise GroupDataError(f"{group.name}: comultiplication does not preserve the ideal")
 
-    ring = group.variables
+    if group.matrix is not None:
+        left, right = (
+            [[entry.rename(doubled, names) for entry in row] for row in group.matrix]
+            for names in renamings
+        )
+        for i, row in enumerate(group.matrix):
+            for j, entry in enumerate(row):
+                if entry.evaluate(point) != (1 if i == j else 0):
+                    raise GroupDataError(f"{group.name}: matrix is not the identity at the counit")
+                product = sum(
+                    (left[i][k] * right[k][j] for k in range(len(row))), Polynomial.zero(doubled)
+                )
+                if not ideal_member(entry.substitute(comult_map) - product, doubled_gb):
+                    raise GroupDataError(
+                        f"{group.name}: matrix is not multiplicative at entry {i + 1},{j + 1}"
+                    )
+
     inverse_then_point = dict(
         zip(doubled, group.antipode + tuple(Polynomial.variable(ring, v) for v in ring))
     )

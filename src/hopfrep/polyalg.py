@@ -165,8 +165,7 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         acc = dict(self.terms)
-        for exponents, coeff in other.terms:
-            acc[exponents] = acc.get(exponents, Fraction(0)) + coeff
+        _accumulate(acc, other.terms)
         return Polynomial.from_dict(self.ring, acc)
 
     __radd__ = __add__
@@ -187,12 +186,7 @@ class Polynomial:
                 return Polynomial.zero(self.ring)
             return Polynomial(self.ring, tuple((e, c * value) for e, c in self.terms))
         other = self._coerce(other)
-        acc: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Polynomial.from_dict(self.ring, acc)
+        return Polynomial.from_dict(self.ring, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -240,17 +234,14 @@ class Polynomial:
         unit = (0,) * len(target)
         acc: dict[Exponents, Fraction] = {}
         for exponents, coeff in self.terms:
-            term = {unit: coeff}
+            term = {unit: coeff}.items()
             for position, power in enumerate(exponents):
-                if not power:
-                    continue
-                factor = factors.get((position, power))
-                if factor is None:
-                    image = ordered[position]
-                    factor = (image if power == 1 else image**power).terms
-                    factors[(position, power)] = factor
-                term = _mul_terms(term, factor)
-            _accumulate(acc, term.items())
+                if power:
+                    if (position, power) not in factors:
+                        image = ordered[position]
+                        factors[(position, power)] = (image if power == 1 else image**power).terms
+                    term = _mul_terms(term, factors[(position, power)]).items()
+            _accumulate(acc, term)
         return Polynomial.from_dict(target, acc)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
@@ -291,12 +282,10 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def _mul_terms(
-    left: Mapping[Exponents, Fraction], right: Sequence[tuple[Exponents, Fraction]]
-) -> dict[Exponents, Fraction]:
-    """Product of a term dict and a term sequence, as an uncanonicalized term dict."""
+def _mul_terms(left, right) -> dict[Exponents, Fraction]:
+    """Product of two term sequences, as an uncanonicalized term dict."""
     out: dict[Exponents, Fraction] = {}
-    for e1, c1 in left.items():
+    for e1, c1 in left:
         _accumulate(out, ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in right))
     return out
 

@@ -161,6 +161,22 @@ def test_custom_group_json_rejects_non_square_matrix(tmp_path):
         make_group(str(path))
 
 
+def test_custom_group_json_rejects_matrix_that_is_not_a_representation(tmp_path):
+    data = {
+        "variables": ["z", "w"],
+        "ideal": ["z*w - 1"],
+        "counit": {"z": "1", "w": "1"},
+        "delta": {"z": "z'*z''", "w": "w'*w''"},
+        "antipode": {"z": "w", "w": "z"},
+    }
+    path = tmp_path / "units.json"
+    # z + 1 is 2 at the identity; 2*z - 1 is 1 there but not multiplicative
+    for matrix, message in (([["z + 1"]], "identity"), ([["2*z - 1"]], "multiplicative")):
+        path.write_text(json.dumps(dict(data, matrix=matrix)))
+        with pytest.raises(GroupDataError, match=message):
+            make_group(str(path))
+
+
 # -- matrix words -------------------------------------------------------------
 
 
