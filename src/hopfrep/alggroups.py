@@ -620,6 +620,8 @@ def make_lie(spec) -> LieAlgebraData:
     path = Path(text)
     if path.exists():
         raw = json.loads(path.read_text())
+        if "constants" not in raw:
+            raise LieDataError('Lie JSON: missing key "constants"')
         return lie_from_constants(
             raw["constants"], raw.get("basis"), raw.get("name", "custom")
         )

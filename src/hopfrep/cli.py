@@ -289,6 +289,9 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
     ) as exc:
         _emit(err, f"error: {exc}")
         return 2
+    except RecursionError:
+        _emit(err, "error: input nests too deeply")
+        return 2
 
 
 def main() -> None:

@@ -126,9 +126,6 @@ class FreeWord:
         """The same word with letter indices moved up by ``offset`` inside rank ``rank``."""
         return FreeWord(rank, tuple((i + offset, e) for i, e in self.letters))
 
-    def occurrences(self, index: int) -> list[int]:
-        return [p for p, (i, _) in enumerate(self.letters) if i == index]
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -395,6 +392,8 @@ def make_finite_group(spec) -> FiniteGroup:
     if not path.exists():
         raise GroupTableError(f"unknown finite group spec {text!r}")
     data = json.loads(path.read_text())
+    if "table" not in data:
+        raise GroupTableError('finite group JSON: missing key "table"')
     return FiniteGroup.from_table(data["table"], data.get("names"))
 
 

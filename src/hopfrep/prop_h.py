@@ -355,6 +355,16 @@ def verify_axioms() -> list[AxiomCheck]:
 # ---------------------------------------------------------------------------
 
 
+def _lc_add(acc: dict, extra: Mapping, factor: Fraction | int = 1) -> None:
+    """Add ``factor * extra`` into ``acc`` in place, dropping zero coefficients."""
+    for b, c in extra.items():
+        value = acc.get(b, 0) + c * factor
+        if value == 0:
+            acc.pop(b, None)
+        else:
+            acc[b] = value
+
+
 def _hmorphism_sort_key(h: HMorphism):
     return (h.dom, h.cod, tuple(w.letters for w in h.words))
 
@@ -395,8 +405,7 @@ class LinHom:
         if (self.dom, self.cod) != (other.dom, other.cod):
             raise ArityError("cannot add combinations of different arities")
         acc = dict(self.terms)
-        for h, c in other.terms:
-            acc[h] = acc.get(h, Fraction(0)) + c
+        _lc_add(acc, dict(other.terms))
         return LinHom.from_dict(self.dom, self.cod, acc)
 
     def scale(self, value) -> "LinHom":
@@ -435,15 +444,6 @@ def format_linhom(element: LinHom) -> str:
 Scalar = Fraction
 Basis = Union[int, tuple]
 Element = dict  # basis label -> Fraction
-
-
-def _lc_add(acc: dict, extra: Mapping, factor: Fraction = Fraction(1)) -> None:
-    for b, c in extra.items():
-        value = acc.get(b, Fraction(0)) + c * factor
-        if value == 0:
-            acc.pop(b, None)
-        else:
-            acc[b] = value
 
 
 @dataclass(frozen=True)
@@ -630,97 +630,51 @@ def group_model_tuple_action(
 # Multilinear reduction
 # ---------------------------------------------------------------------------
 
-LEFTMOST = "leftmost"
-RIGHTMOST = "rightmost"
+def _permutation_morphism(n: int, indices: Sequence[int]) -> HMorphism:
+    return HMorphism(n, 1, (FreeWord(n, tuple((i, 1) for i in indices)),))
 
 
-def _permutation_morphism(n: int, letters: Sequence[tuple[int, int]]) -> HMorphism:
-    word = FreeWord(n, tuple((i, 1) for i, _ in letters))
-    return HMorphism(n, 1, (word,))
-
-
-def reduce_word(word: FreeWord, strategy: str = LEFTMOST) -> dict[HMorphism, Fraction]:
+def reduce_word(word: FreeWord) -> dict[HMorphism, Fraction]:
     """Rewrite one word into its multilinear normal form.
 
-    Repeatedly splits a repeated variable into "only this occurrence
-    survives" plus "this occurrence is deleted" (the coproduct relation
-    for a primitive variable), then trades each surviving inverse letter
-    for a sign, and kills words that miss a variable entirely.  The output
-    is supported on permutation words: every variable exactly once,
-    exponent +1.
+    For primitive variables the multilinear part of a word is the sum, over
+    every choice of exactly one occurrence per variable, of the permutation
+    word those occurrences spell, signed by the product of their exponents;
+    a word that misses a variable gives zero.  One left-to-right pass keeps
+    the partial permutations chosen so far with integer coefficients and
+    drops a state at the last occurrence of a variable it has not chosen, so
+    the cost is the word length times the number of partial permutations
+    alive at once.  The output is supported on permutation words: every
+    variable exactly once, exponent +1.
     """
-    if strategy not in (LEFTMOST, RIGHTMOST):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    n = word.rank
-    cache: dict[tuple, dict] = {}
-
-    def rec(w: FreeWord) -> dict[HMorphism, Fraction]:
-        key = w.letters
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        present = {i for i, _ in w.letters}
-        if len(present) < n:
-            cache[key] = {}
-            return {}
-        repeated_at = None
-        positions = range(len(w.letters)) if strategy == LEFTMOST else range(
-            len(w.letters) - 1, -1, -1
+    last = {i: p for p, (i, _) in enumerate(word.letters)}
+    if len(last) < word.rank:
+        return {}
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for p, (i, e) in enumerate(word.letters):
+        step = {
+            chosen: c
+            for chosen, c in states.items()
+            if i in chosen or p != last[i]
+        }
+        _lc_add(
+            step,
+            {chosen + (i,): c * e for chosen, c in states.items() if i not in chosen},
         )
-        for p in positions:
-            index = w.letters[p][0]
-            if len(w.occurrences(index)) >= 2:
-                repeated_at = p
-                break
-        if repeated_at is None:
-            sign = Fraction(1)
-            for _, exponent in w.letters:
-                if exponent < 0:
-                    sign = -sign
-            out = {_permutation_morphism(n, w.letters): sign}
-            cache[key] = out
-            return out
-        target = w.letters[repeated_at][0]
-        occurrences = w.occurrences(target)
-        chosen = repeated_at
-        survivor_only = FreeWord(
-            n,
-            tuple(
-                letter
-                for p, letter in enumerate(w.letters)
-                if letter[0] != target or p == chosen
-            ),
-        )
-        chosen_deleted = FreeWord(
-            n, tuple(letter for p, letter in enumerate(w.letters) if p != chosen)
-        )
-        assert len(occurrences) >= 2
-        out: dict[HMorphism, Fraction] = {}
-        for branch in (chosen_deleted, survivor_only):
-            for h, c in rec(branch).items():
-                value = out.get(h, Fraction(0)) + c
-                if value == 0:
-                    out.pop(h, None)
-                else:
-                    out[h] = value
-        cache[key] = out
-        return out
-
-    return rec(word)
+        states = step
+    return {
+        _permutation_morphism(word.rank, chosen): Fraction(c)
+        for chosen, c in states.items()
+    }
 
 
-def multilinear_reduce(element: LinHom, strategy: str = LEFTMOST) -> LinHom:
+def multilinear_reduce(element: LinHom) -> LinHom:
     """Reduce a combination of single-word morphisms to permutation words."""
     if element.cod != 1:
         raise ArityError("multilinear reduction expects codomain 1")
     acc: dict[HMorphism, Fraction] = {}
     for h, coefficient in element.terms:
-        for perm, c in reduce_word(h.words[0], strategy).items():
-            value = acc.get(perm, Fraction(0)) + coefficient * c
-            if value == 0:
-                acc.pop(perm, None)
-            else:
-                acc[perm] = value
+        _lc_add(acc, reduce_word(h.words[0]), coefficient)
     return LinHom.from_dict(element.dom, 1, acc)
 
 
@@ -734,9 +688,7 @@ def multilinear_part(
     permutation morphisms for comparison with `multilinear_reduce`.
     """
     out: dict[HMorphism, Fraction] = {}
-    for key, coefficient in action_result.items():
-        (tensor_word,) = key
+    for (tensor_word,), coefficient in action_result.items():
         if sorted(tensor_word) == list(range(1, n + 1)):
-            h = _permutation_morphism(n, [(i, 1) for i in tensor_word])
-            out[h] = out.get(h, Fraction(0)) + coefficient
-    return {h: c for h, c in out.items() if c != 0}
+            _lc_add(out, {_permutation_morphism(n, tensor_word): coefficient})
+    return out

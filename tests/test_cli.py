@@ -76,6 +76,9 @@ def test_reduce():
     assert out == "2*(x1)\n"
     code, out, _ = invoke("reduce", "--n", "1", "--word", "e")
     assert out == "0\n"
+    code, out, _ = invoke("reduce", "--n", "1", "--word", "x1^2000")
+    assert code == 0
+    assert out == "2000*(x1)\n"
 
 
 def test_rep_count(z2_file):
@@ -164,6 +167,29 @@ def test_missing_presentation_key_is_named(tmp_path):
         code, out, err = invoke(*argv)
         assert code == 2, argv
         assert err == 'error: presentation JSON: missing key "generators"\n', argv
+
+
+def test_missing_lie_constants_key_is_named(tmp_path, abelian_lie_file):
+    path = tmp_path / "noconstants.json"
+    path.write_text(json.dumps({"basis": ["e1"]}))
+    code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", str(path))
+    assert code == 2
+    assert err == 'error: Lie JSON: missing key "constants"\n'
+
+
+def test_missing_finite_table_key_is_named(tmp_path, z2_file):
+    path = tmp_path / "notable.json"
+    path.write_text(json.dumps({"names": ["e"]}))
+    code, out, err = invoke("rep-count", "--group", z2_file, "--finite", str(path))
+    assert code == 2
+    assert err == 'error: finite group JSON: missing key "table"\n'
+
+
+def test_deeply_nested_term_exits_two():
+    for term in (" . ".join(["id:1"] * 3000), "(" * 3000 + "id:1" + ")" * 3000):
+        code, out, err = invoke("normalize", "--term", term)
+        assert code == 2
+        assert err == "error: input nests too deeply\n"
 
 
 def test_missing_group_json_entry_is_named(tmp_path, z2_file):
