@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from heapq import heapify, heappop, heappush
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -44,6 +45,18 @@ class PolynomialParseError(ValueError):
         self.column = column
 
 
+def _grevlex_key(e: Exponents) -> tuple:
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _lex_key(e: Exponents) -> tuple:
+    return e
+
+
+# Polynomial.terms is kept in descending order of this key.
+_CANONICAL_KEY = _grevlex_key
+
+
 def monomial_key(order: str) -> Callable[[Exponents], tuple]:
     """Sort key for the given monomial order; larger key means larger monomial.
 
@@ -52,13 +65,23 @@ def monomial_key(order: str) -> Callable[[Exponents], tuple]:
     is plain dictionary order on exponent tuples.
     """
     if order == GREVLEX:
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
+        return _CANONICAL_KEY
     if order == LEX:
-        return lambda e: e
+        return _lex_key
     raise ValueError(f"unknown monomial order {order!r}")
 
 
-_CANONICAL_KEY = monomial_key(GREVLEX)
+def _grevlex_heap_key(e: Exponents) -> tuple:
+    return (-sum(e), e[::-1])
+
+
+def _lex_heap_key(e: Exponents) -> tuple:
+    return tuple(-x for x in e)
+
+
+# Reversed sort keys: a smaller heap key means a larger monomial, so a
+# ``heapq`` min-heap pops the largest monomial first.
+_HEAP_KEYS = {GREVLEX: _grevlex_heap_key, LEX: _lex_heap_key}
 
 
 def _as_fraction(value) -> Fraction:
@@ -332,6 +355,8 @@ class GroebnerBasis:
 
 
 def _leading(p: Polynomial, key) -> tuple[Exponents, Fraction]:
+    if key is _CANONICAL_KEY:
+        return p.terms[0]
     return max(p.terms, key=lambda term: key(term[0]))
 
 
@@ -358,6 +383,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
     output is deterministic for a fixed sequence.
     """
     key = monomial_key(order)
+    heap_key = _HEAP_KEYS[order]
     prepared = []
     for g in divisors:
         if g.is_zero():
@@ -366,21 +392,30 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
         tail = tuple(t for t in g.terms if t[0] != lm)
         prepared.append((lm, lc, tail))
     work = dict(p.terms)
+    # Each monomial is pushed once, when it enters ``work``.  A step only adds
+    # monomials below the one it reduces, so a popped monomial never comes
+    # back; one that cancels keeps its zero in ``work`` and is skipped when
+    # popped, and one that cancels and re-enters needs no second push.
+    pending = [(heap_key(e), e) for e in work]
+    heapify(pending)
     remainder: dict[Exponents, Fraction] = {}
-    while work:
-        exponents = max(work, key=key)
+    while pending:
+        exponents = heappop(pending)[1]
         coeff = work.pop(exponents)
+        if not coeff:
+            continue
         for lm, lc, tail in prepared:
             if _divides(lm, exponents):
-                shift = tuple(x - y for x, y in zip(exponents, lm))
+                shift = tuple(map(sub, exponents, lm))
                 factor = coeff / lc
                 for te, tc in tail:
-                    moved = tuple(x + y for x, y in zip(te, shift))
-                    value = work.get(moved, Fraction(0)) - factor * tc
-                    if value == 0:
-                        work.pop(moved, None)
+                    moved = tuple(map(add, te, shift))
+                    previous = work.get(moved)
+                    if previous is None:
+                        work[moved] = -factor * tc
+                        heappush(pending, (heap_key(moved), moved))
                     else:
-                        work[moved] = value
+                        work[moved] = previous - factor * tc
                 break
         else:
             remainder[exponents] = coeff
@@ -398,6 +433,11 @@ def _s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
     return mono_f * f - mono_g * g
 
 
+def _pair_entry(lead: list[Exponents], key, i: int, j: int) -> tuple:
+    lcm = _lcm(lead[i], lead[j])
+    return (key(lcm), (i, j), lcm)
+
+
 def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` for the requested monomial order.
 
@@ -412,14 +452,15 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
     basis = [_monic(g, key) for g in ideal.generators if not g.is_zero()]
     lead = [_leading(g, key)[0] for g in basis]
 
-    pairs = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    # Pairs pop in order of (key(lcm), (i, j)); the key is computed once, when
+    # the pair is queued, and the lcm rides along.
+    pairs = [_pair_entry(lead, key, i, j) for j in range(len(basis)) for i in range(j)]
+    heapify(pairs)
     processed: set[tuple[int, int]] = set()
     while pairs:
-        pair = min(pairs, key=lambda ij: (key(_lcm(lead[ij[0]], lead[ij[1]])), ij))
-        pairs.discard(pair)
+        _, pair, lcm = heappop(pairs)
         processed.add(pair)
         i, j = pair
-        lcm = _lcm(lead[i], lead[j])
         if lcm == tuple(a + b for a, b in zip(lead[i], lead[j])):
             continue  # product criterion: coprime leading monomials
         skip = False
@@ -439,7 +480,8 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
             basis.append(_monic(r, key))
             lead.append(_leading(basis[-1], key)[0])
             new = len(basis) - 1
-            pairs.update((k, new) for k in range(new))
+            for k in range(new):
+                heappush(pairs, _pair_entry(lead, key, k, new))
 
     # Minimalize: visit elements by increasing leading monomial and drop
     # any whose leading monomial is divisible by one already kept.

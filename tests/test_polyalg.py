@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from hopfrep.polyalg import (
     PolynomialParseError,
     RingMismatchError,
     SubstitutionError,
+    _s_polynomial,
     format_polynomial,
     groebner,
     ideal_member,
@@ -154,10 +156,109 @@ def test_groebner_idempotent_and_sound():
             # every pair's S-polynomial reduces to zero
             for i in range(len(gb.basis)):
                 for j in range(i + 1, len(gb.basis)):
-                    from hopfrep.polyalg import _s_polynomial
-
                     s = _s_polynomial(gb.basis[i], gb.basis[j], key)
                     assert normal_form(s, gb.basis, order).is_zero()
+
+
+# -- an independent Groebner certificate -------------------------------------
+#
+# Plain {exponents: Fraction} dicts and a division written here, so the check
+# shares no code with the engine's normal form or S-polynomials.
+
+
+def _order_key(order):
+    if order == GREVLEX:
+        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
+    return lambda e: e
+
+
+def _lead(poly, key):
+    return max(poly, key=key)
+
+
+def _remainder(poly, divisors, key):
+    """Full division of ``poly`` by ``divisors``, first divisor that fits wins."""
+    work = dict(poly)
+    remainder = {}
+    while work:
+        m = _lead(work, key)
+        c = work.pop(m)
+        for d in divisors:
+            lm = _lead(d, key)
+            if all(a <= b for a, b in zip(lm, m)):
+                factor = c / d[lm]
+                for e, v in d.items():
+                    if e != lm:
+                        t = tuple(x + y - z for x, y, z in zip(e, m, lm))
+                        work[t] = work.get(t, 0) - factor * v
+                        if work[t] == 0:
+                            del work[t]
+                break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+def _assert_groebner_certificate(ideal, gb):
+    key = _order_key(gb.order)
+    basis = [dict(g.terms) for g in gb.basis]
+    leads = [_lead(g, key) for g in basis]
+    for g, lm in zip(basis, leads):
+        assert g[lm] == 1  # monic
+    for i, g in enumerate(basis):
+        for j, lm in enumerate(leads):
+            if i != j:
+                assert not any(all(a <= b for a, b in zip(lm, e)) for e in g)
+    for generator in ideal.generators:
+        assert _remainder(dict(generator.terms), basis, key) == {}
+    for (f, lf), (g, lg) in itertools.combinations(zip(basis, leads), 2):
+        lcm = tuple(map(max, lf, lg))
+        s = {}
+        for poly, lm, sign in ((f, lf, 1), (g, lg, -1)):
+            for e, v in poly.items():
+                t = tuple(x + y - z for x, y, z in zip(e, lcm, lm))
+                s[t] = s.get(t, 0) + sign * v
+        s = {e: v for e, v in s.items() if v != 0}
+        assert _remainder(s, basis, key) == {}
+
+
+@st.composite
+def _small_ideals(draw):
+    ring = RING[: draw(st.integers(1, 3))]
+    monomials = [e for e in itertools.product(range(4), repeat=len(ring)) if sum(e) <= 3]
+    generators = draw(
+        st.lists(
+            st.dictionaries(st.sampled_from(monomials), st.integers(-3, 3), max_size=4),
+            max_size=3,
+        )
+    )
+    return Ideal(ring, tuple(Polynomial.from_dict(ring, g) for g in generators))
+
+
+# No per-example deadline: about one draw in a few thousand has a lex basis
+# whose coefficients grow past a thousand bits, which takes seconds.
+@settings(max_examples=80, deadline=None)
+@given(_small_ideals(), st.sampled_from((GREVLEX, LEX)))
+def test_groebner_certificate_random_ideals(ideal, order):
+    gb = groebner(ideal, order)
+    _assert_groebner_certificate(ideal, gb)
+    assert groebner(Ideal(ideal.ring, gb.basis), order).basis == gb.basis
+
+
+def test_normal_form_term_cancels_then_reenters():
+    # Reducing x^2 by x^2 - y cancels the -y of p; reducing x*y by x*y - y
+    # creates y again, which y - z then reduces to z:
+    # p - (x^2 - y) - (x*y - y) - (y - z) = z.
+    p = P("x^2 + x*y - y")
+    divisors = [P("x^2 - y"), P("x*y - y"), P("y - z")]
+    for order in (GREVLEX, LEX):
+        assert normal_form(p, divisors, order) == Z
+    # x^3 -> y^3 leaves -y^3; x^2*y -> y^3 cancels it; x*y^2 -> -y^3 + z^3
+    # creates it again, and this time it stays in the remainder.
+    p = P("x^3 + x^2*y + x*y^2 - 2*y^3")
+    divisors = [P("x^3 - y^3"), P("x^2*y - y^3"), P("x*y^2 + y^3 - z^3")]
+    for order in (GREVLEX, LEX):
+        assert normal_form(p, divisors, order) == P("z^3 - y^3")
 
 
 def test_groebner_determinism():

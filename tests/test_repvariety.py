@@ -333,3 +333,85 @@ def test_trace_invariance_all_short_words(sl2):
             if len(w.letters) != length:
                 continue
             assert check_trace_invariance(w, F2, sl2), w
+
+
+# -- printed reduced bases, pinned -------------------------------------------------
+#
+# Recorded before the Groebner engine took its pairs from a heap and kept the
+# terms of a division in one; any change to the engine must print the same.
+
+BS12 = GroupPresentation(("a", "b"), (parse_word("a b a^-1 b^-2", ("a", "b")),))
+
+_Z2_SL3_GREVLEX = (
+    "x1_11^2 - x1_22^2 - 2*x1_22*x1_33 - x1_33^2 + 2*x1_11 + 1",
+    "x1_11*x1_12 + x1_12*x1_22 + x1_12*x1_33 + x1_12",
+    "x1_11*x1_13 + x1_12*x1_23 + x1_13*x1_33",
+    "x1_11*x1_21 + x1_21*x1_22 + x1_21*x1_33 + x1_21",
+    "x1_12*x1_21 + x1_22^2 + x1_22*x1_33 - x1_11 - 1",
+    "x1_13*x1_21 + x1_22*x1_23 + x1_23*x1_33",
+    "x1_11*x1_22 + x1_22^2 + x1_22*x1_33 - x1_11 - x1_33 - 1",
+    "x1_13*x1_22 - x1_12*x1_23 + x1_13",
+    "x1_11*x1_23 + x1_22*x1_23 + x1_23*x1_33 + x1_23",
+    "x1_11*x1_31 + x1_21*x1_32 + x1_31*x1_33",
+    "x1_12*x1_31 + x1_22*x1_32 + x1_32*x1_33",
+    "x1_13*x1_31 + x1_22*x1_33 + x1_33^2 - x1_11 - 1",
+    "x1_22*x1_31 - x1_21*x1_32 + x1_31",
+    "x1_23*x1_31 - x1_21*x1_33 - x1_21",
+    "x1_11*x1_32 + x1_22*x1_32 + x1_32*x1_33 + x1_32",
+    "x1_13*x1_32 - x1_12*x1_33 - x1_12",
+    "x1_23*x1_32 - x1_22*x1_33 + x1_11",
+    "x1_11*x1_33 + x1_22*x1_33 + x1_33^2 - x1_11 - x1_22 - 1",
+)
+
+_Z2_SL3_LEX = (
+    "x1_23*x1_32 - x1_22*x1_33 + x1_11",
+    "x1_12*x1_21 + x1_22^2 + x1_23*x1_32 - 1",
+    "-x1_13*x1_22 + x1_12*x1_23 - x1_13",
+    "x1_12*x1_31 + x1_22*x1_32 + x1_32*x1_33",
+    "-x1_13*x1_32 + x1_12*x1_33 + x1_12",
+    "x1_13*x1_21 + x1_22*x1_23 + x1_23*x1_33",
+    "-x1_13*x1_23*x1_32 + x1_13*x1_22*x1_33 + x1_13*x1_22 + x1_13*x1_33 + x1_13",
+    "x1_13*x1_31 + x1_23*x1_32 + x1_33^2 - 1",
+    "-x1_22*x1_31 + x1_21*x1_32 - x1_31",
+    "-x1_23*x1_31 + x1_21*x1_33 + x1_21",
+    "-x1_22*x1_23*x1_32 + x1_22^2*x1_33 + x1_22^2 + x1_23*x1_32 - x1_33 - 1",
+    "-x1_23^2*x1_32 + x1_22*x1_23*x1_33 + x1_22*x1_23 + x1_23*x1_33 + x1_23",
+    "-x1_23*x1_31*x1_32 + x1_22*x1_31*x1_33 + x1_22*x1_31 + x1_31*x1_33 + x1_31",
+    "-x1_23*x1_32^2 + x1_22*x1_32*x1_33 + x1_22*x1_32 + x1_32*x1_33 + x1_32",
+    "-x1_23*x1_32*x1_33 + x1_22*x1_33^2 + x1_23*x1_32 + x1_33^2 - x1_22 - 1",
+)
+
+_BS12_SL2_GREVLEX = (
+    "x1_22^2*x2_12^2 - 2*x1_12*x1_22*x2_12*x2_22 + x1_12^2*x2_22^2 - x1_12^2*x2_11 + x1_11*x1_12*x2_12 - 1/2*x2_11*x2_12^2 - 1/2*x2_12^2*x2_22 + 1/2*x2_12^2",
+    "x1_22^2*x2_21^2 - 2*x1_21*x1_22*x2_21*x2_22 + x1_21^2*x2_22^2 - x1_21^2*x2_11 + 2*x1_11*x1_21*x2_21 + x1_21*x1_22*x2_21 - x2_11*x2_21^2 - x2_21^2*x2_22",
+    "x1_11^2*x2_12 - x1_22^2*x2_12 + 2*x1_11*x1_12*x2_22 + 2*x1_12*x1_22*x2_22 - 2*x1_11*x1_12 - 2*x1_12*x1_22 - 1/2*x2_11*x2_12 - 1/2*x2_12*x2_22 - 1/2*x2_12",
+    "x1_11*x1_21*x2_12 + x1_21*x1_22*x2_12 + x1_11*x1_22*x2_22 + x1_22^2*x2_22 - x1_11*x1_22 - x1_22^2 - x2_11*x2_22 - x2_22^2 + x2_11 + 1",
+    "x1_11*x1_22*x2_12 + x1_22^2*x2_12 - x1_11*x1_12*x2_22 - x1_12*x1_22*x2_22 + x1_11*x1_12 + x1_12*x1_22 - 1/2*x2_11*x2_12 - 1/2*x2_12*x2_22 - 1/2*x2_12",
+    "x1_21*x2_11*x2_12 + 2*x1_21*x2_12*x2_22 + x1_12*x2_21*x2_22 - x1_11*x2_22^2 + x1_22*x2_22^2 - x1_12*x2_21 - x1_22*x2_22 + x1_11",
+    "x1_21*x2_12^2 - x1_11*x2_12*x2_22 + x1_22*x2_12*x2_22 - x1_12*x2_22^2 + x1_12*x2_11 + x1_22*x2_12",
+    "x1_11^2*x2_21 - x1_22^2*x2_21 + 2*x1_11*x1_21*x2_22 + 2*x1_21*x1_22*x2_22 - 2*x1_11*x1_21 - 2*x1_21*x1_22 + 1/2*x2_11*x2_21 + 1/2*x2_21*x2_22 + 1/2*x2_21",
+    "x1_11*x1_12*x2_21 + x1_12*x1_22*x2_21 + x1_11*x1_22*x2_22 + x1_22^2*x2_22 - x1_11*x1_22 - x1_22^2 - 1/2*x2_11*x2_22 - 1/2*x2_22^2 + 1/2*x2_11 + 1/2",
+    "x1_11*x1_22*x2_21 + x1_22^2*x2_21 - x1_11*x1_21*x2_22 - x1_21*x1_22*x2_22 + x1_11*x1_21 + x1_21*x1_22 - x2_11*x2_21 - x2_21*x2_22 - x2_21",
+    "x1_12*x2_11*x2_21 + x1_21*x2_12*x2_22 + 2*x1_12*x2_21*x2_22 - x1_11*x2_22^2 + x1_22*x2_22^2 - x1_21*x2_12 + x1_11*x2_22 - x1_22",
+    "x1_12*x2_21^2 - x1_11*x2_21*x2_22 + x1_22*x2_21*x2_22 - x1_21*x2_22^2 + x1_21*x2_11 - x1_11*x2_21",
+    "x1_11^2*x2_22 + 2*x1_11*x1_22*x2_22 + x1_22^2*x2_22 - x1_11^2 - 2*x1_11*x1_22 - x1_22^2 - 3/2*x2_11*x2_22 - 3/2*x2_22^2 + 3/2*x2_11 + 3/2",
+    "x1_12*x1_21 - x1_11*x1_22 + 1",
+    "x1_11*x2_11 + x1_21*x2_12 + x1_12*x2_21 + x1_22*x2_22 - x1_11 - x1_22",
+    "x1_22*x2_11 - x1_21*x2_12 - x1_12*x2_21 + x1_11*x2_22 - x1_11 - x1_22",
+    "x2_11^2 + 2*x2_11*x2_22 + x2_22^2 - x2_11 - x2_22 - 2",
+    "x2_12*x2_21 - x2_11*x2_22 + 1",
+)
+
+
+@pytest.mark.parametrize(
+    "group, target, order, expected",
+    [
+        (Z2, "sl:3", "grevlex", _Z2_SL3_GREVLEX),
+        (Z2, "sl:3", "lex", _Z2_SL3_LEX),
+        (BS12, "sl:2", "grevlex", _BS12_SL2_GREVLEX),
+    ],
+    ids=["z2-sl3-grevlex", "z2-sl3-lex", "bs12-sl2-grevlex"],
+)
+def test_printed_groebner_basis_is_pinned(group, target, order, expected):
+    gb = groebner(rep_ideal(group, make_group(target)).ideal, order)
+    assert tuple(str(g) for g in gb.basis) == expected
