@@ -50,7 +50,6 @@ from .prop_h import (
 )
 from .repvariety import (
     FiniteRepAlgebra,
-    LieRepIdealPresentation,
     RepIdealPresentation,
     check_observable_invariance,
     check_trace_invariance,

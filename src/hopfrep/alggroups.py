@@ -16,13 +16,12 @@ the concrete form of the iterated tensor power of the coordinate ring.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .groups import FreeWord
+from .groups import FreeWord, JsonObject
 from .polyalg import (
     GREVLEX,
     Ideal,
@@ -82,9 +81,6 @@ class PresentedCommHopf:
     def counit_point(self) -> dict[str, Fraction]:
         return dict(zip(self.variables, self.counit))
 
-    def copy_name(self, variable: str, copy: int) -> str:
-        return self.copy_templates[self.variables.index(variable)].format(c=copy)
-
     def __str__(self) -> str:
         return self.name
 
@@ -143,55 +139,43 @@ def pullback(
 
 
 def matrix_word(
-    word: FreeWord,
-    group: PresentedCommHopf,
-    ring: Ring | None = None,
-    copy_base: int = 1,
+    word: FreeWord, group: PresentedCommHopf, ring: Ring | None = None
 ) -> list[list[Polynomial]]:
     """The group's matrix evaluated on a word: its entries pulled back along it.
 
-    Letter ``i`` is copy ``copy_base + i - 1``; inverse letters go through
-    the antipode, so the result is honestly polynomial.  The empty word
-    gives the identity.
+    Letter ``i`` is copy ``i``; inverse letters go through the antipode, so
+    the result is honestly polynomial.  The empty word gives the identity.
     """
     if group.matrix is None:
         raise MissingMatrixShapeError(f"group {group.name} has no matrix shape")
-    images = dict(zip(group.variables, pullback(word, group, ring, copy_base)))
+    images = dict(zip(group.variables, pullback(word, group, ring)))
     return [[entry.substitute(images) for entry in row] for row in group.matrix]
 
 
 def trace_of_word(
-    word: FreeWord,
-    group: PresentedCommHopf,
-    ring: Ring | None = None,
-    copy_base: int = 1,
+    word: FreeWord, group: PresentedCommHopf, ring: Ring | None = None
 ) -> Polynomial:
     """Trace of the matrix realized by a word; the standard invariant observable."""
-    matrix = matrix_word(word, group, ring=ring, copy_base=copy_base)
+    matrix = matrix_word(word, group, ring=ring)
     target = matrix[0][0].ring
     return sum((matrix[i][i] for i in range(len(matrix))), Polynomial.zero(target))
 
 
-def conjugation_substitution(
-    p: Polynomial, group: PresentedCommHopf, n_copies: int | None = None
-) -> Polynomial:
+def conjugation_substitution(p: Polynomial, group: PresentedCommHopf) -> Polynomial:
     """Substitute every copy's point g by x0 g x0^-1, x0 the conjugator copy 0.
 
-    ``p`` must live in the block ring of copies ``1..n``; the result lives
-    in the ring with the conjugator block prepended.  Each coordinate of
-    copy ``c`` becomes its pullback along the word ``x0 xc x0^-1``.
+    ``p`` must live in the block ring of copies ``1..n``, ``n`` read off its
+    ring; the result lives in the ring with the conjugator block prepended.
+    Each coordinate of copy ``c`` becomes its pullback along the word
+    ``x0 xc x0^-1``.
     """
-    if n_copies is None:
-        if len(p.ring) % len(group.variables):
-            raise GroupDataError("polynomial ring is not a whole number of blocks")
-        n_copies = len(p.ring) // len(group.variables)
-    copies = list(range(1, n_copies + 1))
+    copies = list(range(1, len(p.ring) // len(group.variables) + 1))
     if p.ring != block_ring(group, copies):
         raise GroupDataError("polynomial does not live in the copy block ring")
     extended = block_ring(group, [0] + copies)
     images: dict[str, Polynomial] = {}
     for c in copies:
-        word = FreeWord(n_copies + 1, ((1, 1), (c + 1, 1), (1, -1)))
+        word = FreeWord(len(copies) + 1, ((1, 1), (c + 1, 1), (1, -1)))
         conjugated = pullback(word, group, ring=extended, copy_base=0)
         images.update(zip(block_map(group, c).values(), conjugated))
     return p.substitute(images)
@@ -454,22 +438,16 @@ def _additive_group() -> PresentedCommHopf:
     return group
 
 
-def _json_field(data: Mapping, key: str):
-    if key not in data:
-        raise GroupDataError(f'group JSON: missing key "{key}"')
-    return data[key]
-
-
-def _per_variable(data: Mapping, key: str, variables: Sequence[str]) -> list:
-    table = _json_field(data, key)
+def _per_variable(data: JsonObject, key: str, variables: Sequence[str]) -> list:
+    table = data[key]
     for v in variables:
         if v not in table:
-            raise GroupDataError(f'group JSON: "{key}" has no entry for variable {v!r}')
+            raise data.fail(f'"{key}" has no entry for variable {v!r}')
     return [table[v] for v in variables]
 
 
-def _group_from_json(data: Mapping) -> PresentedCommHopf:
-    variables = tuple(_json_field(data, "variables"))
+def _group_from_json(data: JsonObject) -> PresentedCommHopf:
+    variables = tuple(data["variables"])
     ring = variables
     doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
     ideal = Ideal(ring, tuple(parse_polynomial(s, ring) for s in data.get("ideal", [])))
@@ -484,7 +462,7 @@ def _group_from_json(data: Mapping) -> PresentedCommHopf:
     if "matrix" in data:
         rows = data["matrix"]
         if not rows or any(len(row) != len(rows) for row in rows):
-            raise GroupDataError('group JSON: "matrix" must be a non-empty square matrix')
+            raise data.fail('"matrix" must be a non-empty square matrix')
         matrix = tuple(tuple(parse_polynomial(s, ring) for s in row) for row in rows)
     group = PresentedCommHopf(
         name=str(data.get("name", "custom")),
@@ -519,7 +497,7 @@ def make_group(spec) -> PresentedCommHopf:
     path = Path(text)
     if not path.exists():
         raise GroupDataError(f"unknown group spec {text!r}")
-    return _group_from_json(json.loads(path.read_text()))
+    return _group_from_json(JsonObject(path, "group", GroupDataError))
 
 
 # ---------------------------------------------------------------------------
@@ -619,11 +597,9 @@ def make_lie(spec) -> LieAlgebraData:
         return data
     path = Path(text)
     if path.exists():
-        raw = json.loads(path.read_text())
-        if "constants" not in raw:
-            raise LieDataError('Lie JSON: missing key "constants"')
+        data = JsonObject(path, "Lie", LieDataError)
         return lie_from_constants(
-            raw["constants"], raw.get("basis"), raw.get("name", "custom")
+            data["constants"], data.get("basis", None), data.get("name", "custom")
         )
     raise LieDataError(f"unknown Lie algebra spec {text!r}")
 
@@ -685,15 +661,12 @@ class LiePresentation:
         return LiePresentation(tuple(f"x{i}" for i in range(1, n + 1)), ())
 
     @staticmethod
-    def from_json(data) -> "LiePresentation":
-        if isinstance(data, (str, Path)):
-            data = json.loads(Path(data).read_text())
-        if "generators" not in data:
-            raise LieParseError('presentation JSON: missing key "generators"')
-        generators = tuple(data["generators"])
-        relators = tuple(
-            parse_lie_expr(text, generators) for text in data.get("relators", [])
-        )
+    def from_json(source) -> "LiePresentation":
+        """Read ``{"generators": [...], "relators": [...]}`` from a path or a mapping."""
+        data = JsonObject(source, "presentation", LieParseError)
+        generators = data.strings("generators")
+        texts = data.strings("relators") if "relators" in data else ()
+        relators = tuple(parse_lie_expr(text, generators) for text in texts)
         return LiePresentation(generators, relators)
 
 

@@ -19,8 +19,8 @@ from typing import IO, Sequence
 from . import alggroups, groups, polyalg, prop_h, repvariety
 
 
-class CliError(Exception):
-    """Input error: bad flags, unparsable files, unknown specs."""
+class CliError(ValueError):
+    """Input error in the command line itself: bad flags or values."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,13 +77,12 @@ def _emit_json(stream: IO[str], payload) -> None:
     _emit(stream, json.dumps(payload, indent=2))
 
 
-def _load_presentation(path: str) -> groups.GroupPresentation:
-    try:
-        return groups.GroupPresentation.from_json(path)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {path}")
-    except json.JSONDecodeError as err:
-        raise CliError(f"{path}: line {err.lineno} column {err.colno}: {err.msg}")
+def _emit_presentation(stream: IO[str], presentation: repvariety.RepIdealPresentation) -> None:
+    _emit(stream, "variables: " + " ".join(presentation.ring))
+    for i, (g, source) in enumerate(
+        zip(presentation.ideal.generators, presentation.provenance)
+    ):
+        _emit(stream, f"g{i} [{source}]: {g}")
 
 
 def _cmd_axioms(args, out: IO[str]) -> int:
@@ -147,7 +146,7 @@ def _cmd_reduce(args, out: IO[str]) -> int:
 
 def _cmd_rep_ideal(args, out: IO[str]) -> int:
     presentation = repvariety.rep_ideal(
-        _load_presentation(args.group), alggroups.make_group(args.target)
+        groups.GroupPresentation.from_json(args.group), alggroups.make_group(args.target)
     )
     payload = presentation.to_json()
     basis = None
@@ -158,11 +157,7 @@ def _cmd_rep_ideal(args, out: IO[str]) -> int:
     if args.format == "json":
         _emit_json(out, payload)
     else:
-        _emit(out, "variables: " + " ".join(presentation.ring))
-        for i, (g, source) in enumerate(
-            zip(presentation.ideal.generators, presentation.provenance)
-        ):
-            _emit(out, f"g{i} [{source}]: {g}")
+        _emit_presentation(out, presentation)
         if basis is not None:
             _emit(out, f"groebner ({args.order}):")
             for g in basis.basis:
@@ -171,26 +166,17 @@ def _cmd_rep_ideal(args, out: IO[str]) -> int:
 
 
 def _cmd_lie_rep_ideal(args, out: IO[str]) -> int:
-    try:
-        source = alggroups.LiePresentation.from_json(args.source)
-    except FileNotFoundError:
-        raise CliError(f"no such file: {args.source}")
-    except json.JSONDecodeError as err:
-        raise CliError(f"{args.source}: line {err.lineno} column {err.colno}: {err.msg}")
+    source = alggroups.LiePresentation.from_json(args.source)
     presentation = repvariety.lie_rep_ideal(source, alggroups.make_lie(args.target))
     if args.format == "json":
         _emit_json(out, presentation.to_json())
     else:
-        _emit(out, "variables: " + " ".join(presentation.ring))
-        for i, (g, source_tag) in enumerate(
-            zip(presentation.ideal.generators, presentation.provenance)
-        ):
-            _emit(out, f"g{i} [{source_tag}]: {g}")
+        _emit_presentation(out, presentation)
     return 0
 
 
 def _cmd_rep_count(args, out: IO[str]) -> int:
-    presentation = _load_presentation(args.group)
+    presentation = groups.GroupPresentation.from_json(args.group)
     target = groups.make_finite_group(args.finite)
     algebra = repvariety.finite_rep_algebra(presentation, target)
     if args.format == "json":
@@ -234,7 +220,7 @@ def _cmd_cotangent(args, out: IO[str]) -> int:
 
 
 def _cmd_invariance(args, out: IO[str]) -> int:
-    presentation = _load_presentation(args.group)
+    presentation = groups.GroupPresentation.from_json(args.group)
     target = alggroups.make_group(args.target)
     word = groups.parse_word(args.word, presentation.generators)
     invariant = repvariety.check_trace_invariance(word, presentation, target)
@@ -267,26 +253,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
         if args.verbose:
             _emit(err, f"hopfrep: running {args.command}")
         return _COMMANDS[args.command](args, out)
-    except CliError as exc:
-        _emit(err, f"error: {exc}")
-        return 2
-    except (
-        polyalg.PolynomialParseError,
-        polyalg.RingMismatchError,
-        polyalg.SubstitutionError,
-        groups.WordParseError,
-        groups.WordError,
-        groups.GroupTableError,
-        prop_h.TermSyntaxError,
-        prop_h.ArityError,
-        alggroups.GroupDataError,
-        alggroups.MissingMatrixShapeError,
-        alggroups.LieDataError,
-        alggroups.LieParseError,
-        repvariety.HomomorphismError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (KeyError, ValueError) as exc:
+        # Every error class of the library, and CliError, is a ValueError.
         _emit(err, f"error: {exc}")
         return 2
     except RecursionError:

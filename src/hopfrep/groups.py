@@ -4,6 +4,7 @@ Words are kept freely reduced at all times.  Finite groups are plain
 multiplication tables validated on construction (identity, inverses, and
 associativity via Light's test on a greedily found generating set), with
 homomorphism enumeration by backtracking over generator images.
+`JsonObject` reads every JSON input file of the package.
 
 Convention: products read left to right, ``mul(g, h)`` applies ``g``
 first, so permutations compose as ``(g*h)(i) = h(g(i))``.
@@ -16,7 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 
 class WordError(ValueError):
@@ -78,9 +79,6 @@ class FreeWord:
             return FreeWord.identity(rank)
         sign = 1 if exponent > 0 else -1
         return FreeWord(rank, ((index, sign),) * abs(exponent))
-
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -174,6 +172,59 @@ def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# JSON input files
+# ---------------------------------------------------------------------------
+
+
+class JsonObject:
+    """One JSON object of an input ``kind``, read from a file or given as a mapping.
+
+    Every fault is raised as the caller's ``error`` class with a one-line
+    message naming the file or the key: a file that cannot be read, text
+    that is not JSON, a top level that is not an object, a missing key, or
+    a field of the wrong type.
+    """
+
+    def __init__(self, source, kind: str, error: type[ValueError]) -> None:
+        self.kind = kind
+        self.error = error
+        if isinstance(source, Mapping):
+            self.data = source
+            return
+        try:
+            text = Path(source).read_text()
+        except OSError as err:
+            raise error(f"cannot read {source}: {err.strerror}")
+        try:
+            self.data = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise error(f"{source}: line {err.lineno} column {err.colno}: {err.msg}")
+        if not isinstance(self.data, dict):
+            raise self.fail("expected an object")
+
+    def fail(self, message: str) -> ValueError:
+        return self.error(f"{self.kind} JSON: {message}")
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.data
+
+    def __getitem__(self, key: str):
+        if key not in self.data:
+            raise self.fail(f'missing key "{key}"')
+        return self.data[key]
+
+    def get(self, key: str, default):
+        return self.data.get(key, default)
+
+    def strings(self, key: str) -> tuple[str, ...]:
+        """The list of strings under ``key``, which must be present."""
+        value = self[key]
+        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+            raise self.fail(f'"{key}" must be a list of strings')
+        return tuple(value)
+
+
+# ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------
 
@@ -205,15 +256,12 @@ class GroupPresentation:
         return GroupPresentation(tuple(f"x{i}" for i in range(1, n + 1)), ())
 
     @staticmethod
-    def from_json(data) -> "GroupPresentation":
-        if isinstance(data, (str, Path)):
-            data = json.loads(Path(data).read_text())
-        if "generators" not in data:
-            raise WordError('presentation JSON: missing key "generators"')
-        generators = tuple(data["generators"])
-        relators = tuple(
-            parse_word(text, generators) for text in data.get("relators", [])
-        )
+    def from_json(source) -> "GroupPresentation":
+        """Read ``{"generators": [...], "relators": [...]}`` from a path or a mapping."""
+        data = JsonObject(source, "presentation", WordError)
+        generators = data.strings("generators")
+        texts = data.strings("relators") if "relators" in data else ()
+        relators = tuple(parse_word(text, generators) for text in texts)
         return GroupPresentation(generators, relators)
 
     def to_json(self) -> dict:
@@ -391,10 +439,8 @@ def make_finite_group(spec) -> FiniteGroup:
     path = Path(text)
     if not path.exists():
         raise GroupTableError(f"unknown finite group spec {text!r}")
-    data = json.loads(path.read_text())
-    if "table" not in data:
-        raise GroupTableError('finite group JSON: missing key "table"')
-    return FiniteGroup.from_table(data["table"], data.get("names"))
+    data = JsonObject(path, "finite group", GroupTableError)
+    return FiniteGroup.from_table(data["table"], data.get("names", None))
 
 
 # ---------------------------------------------------------------------------

@@ -162,15 +162,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def coefficient(self, exponents: Exponents) -> Fraction:
-        for e, c in self.terms:
-            if e == exponents:
-                return c
-        return Fraction(0)
-
-    def constant_term(self) -> Fraction:
-        return self.coefficient((0,) * len(self.ring))
-
     def _check_same_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
             raise RingMismatchError(
@@ -553,13 +544,6 @@ def linear_kernel(rows: Sequence[Sequence], width: int | None = None) -> list[li
             vector[col] = -matrix[r][free]
         basis.append(vector)
     return basis
-
-
-def matrix_rank(rows: Sequence[Sequence], width: int | None = None) -> int:
-    if not rows and width is None:
-        return 0
-    w = width if width is not None else len(rows[0])
-    return w - len(linear_kernel(rows, w))
 
 
 # ---------------------------------------------------------------------------

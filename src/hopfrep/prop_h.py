@@ -63,7 +63,15 @@ def identity_morphism(n: int) -> HMorphism:
     return HMorphism(n, n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
 
 
-GENERATOR_NAMES = ("mu", "delta", "antipode", "eta", "epsilon", "tau")
+# Name -> morphism of the six generating operations.
+GENERATORS = {
+    "mu": HMorphism(2, 1, (FreeWord(2, ((1, 1), (2, 1))),)),
+    "delta": HMorphism(1, 2, (FreeWord.generator(1, 1), FreeWord.generator(1, 1))),
+    "antipode": HMorphism(1, 1, (FreeWord(1, ((1, -1),)),)),
+    "eta": HMorphism(0, 1, (FreeWord.identity(0),)),
+    "epsilon": HMorphism(1, 0, ()),
+    "tau": HMorphism(2, 2, (FreeWord.generator(2, 2), FreeWord.generator(2, 1))),
+}
 
 
 def generator_morphism(name: str) -> HMorphism:
@@ -72,19 +80,9 @@ def generator_morphism(name: str) -> HMorphism:
     mu ``(2->1)``: x1 x2; delta ``(1->2)``: (x1, x1); antipode: x1^-1;
     eta ``(0->1)``: e; epsilon ``(1->0)``: (); tau ``(2->2)``: (x2, x1).
     """
-    if name == "mu":
-        return HMorphism(2, 1, (FreeWord(2, ((1, 1), (2, 1))),))
-    if name == "delta":
-        return HMorphism(1, 2, (FreeWord.generator(1, 1), FreeWord.generator(1, 1)))
-    if name == "antipode":
-        return HMorphism(1, 1, (FreeWord(1, ((1, -1),)),))
-    if name == "eta":
-        return HMorphism(0, 1, (FreeWord.identity(0),))
-    if name == "epsilon":
-        return HMorphism(1, 0, ())
-    if name == "tau":
-        return HMorphism(2, 2, (FreeWord.generator(2, 2), FreeWord.generator(2, 1)))
-    raise ValueError(f"unknown generator {name!r}")
+    if name not in GENERATORS:
+        raise ValueError(f"unknown generator {name!r}")
+    return GENERATORS[name]
 
 
 def compose_h(f: HMorphism, g: HMorphism) -> HMorphism:
@@ -127,18 +125,11 @@ class Gen(GeneratorTerm):
     name: str
 
     def __post_init__(self) -> None:
-        if self.name not in GENERATOR_NAMES:
-            raise ValueError(f"unknown generator {self.name!r}")
+        generator_morphism(self.name)
 
     def arity(self) -> tuple[int, int]:
-        return {
-            "mu": (2, 1),
-            "delta": (1, 2),
-            "antipode": (1, 1),
-            "eta": (0, 1),
-            "epsilon": (1, 0),
-            "tau": (2, 2),
-        }[self.name]
+        morphism = GENERATORS[self.name]
+        return (morphism.dom, morphism.cod)
 
 
 @dataclass(frozen=True)
@@ -441,7 +432,6 @@ def format_linhom(element: LinHom) -> str:
 # Hopf models and the generic structural evaluator
 # ---------------------------------------------------------------------------
 
-Scalar = Fraction
 Basis = Union[int, tuple]
 Element = dict  # basis label -> Fraction
 

@@ -23,7 +23,6 @@ from typing import Mapping, Sequence
 from .alggroups import (
     LieAlgebraData,
     LiePresentation,
-    MissingMatrixShapeError,
     PresentedCommHopf,
     block_ideal_generators,
     block_ring,
@@ -58,11 +57,10 @@ class RepIdealPresentation:
     """Polynomial presentation of the space of representations.
 
     ``provenance[i]`` records where generator ``i`` came from:
-    ``copy_ideal:<copy>`` or ``relator:<index>:entry:<row>,<col>``.
+    ``copy_ideal:<copy>`` or ``relator:<index>:entry:<row>,<col>`` for a
+    group, ``relator:<index>:component:<k>`` for a Lie algebra.
     """
 
-    group: GroupPresentation
-    target: PresentedCommHopf
     ring: Ring
     ideal: Ideal
     provenance: tuple[str, ...]
@@ -93,10 +91,6 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
     yields exactly the copied defining ideals and nothing else.
     """
     n = group.n_generators
-    if group.relators and target.matrix is None:
-        raise MissingMatrixShapeError(
-            f"target {target.name} has no matrix shape for relator equations"
-        )
     ring = block_ring(target, range(1, n + 1))
     generators: list[Polynomial] = []
     provenance: list[str] = []
@@ -113,8 +107,6 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
                 generators.append(entry)
                 provenance.append(f"relator:{index}:entry:{i + 1},{j + 1}")
     return RepIdealPresentation(
-        group=group,
-        target=target,
         ring=ring,
         ideal=Ideal(ring, tuple(generators)),
         provenance=tuple(provenance),
@@ -272,33 +264,9 @@ def nat_transform_from_hom(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LieRepIdealPresentation:
-    """Coordinates of generator images in the target basis, plus relator equations."""
-
-    source: LiePresentation
-    target: LieAlgebraData
-    ring: Ring
-    ideal: Ideal
-    provenance: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "variables": list(self.ring),
-            "ideal": [str(g) for g in self.ideal.generators],
-            "provenance": [
-                {"generator_index": i, "source": source}
-                for i, source in enumerate(self.provenance)
-            ],
-        }
-
-    def satisfies(self, point: Mapping[str, Fraction]) -> bool:
-        return all(g.evaluate(point) == 0 for g in self.ideal.generators)
-
-
 def lie_rep_ideal(
     source: LiePresentation, target: LieAlgebraData
-) -> LieRepIdealPresentation:
+) -> RepIdealPresentation:
     """Presentation of Lie-algebra maps from ``source`` into ``target``.
 
     Generator ``i`` becomes the coordinate vector ``(y{i}_1 .. y{i}_d)``;
@@ -320,9 +288,7 @@ def lie_rep_ideal(
         for k, component in enumerate(vector, start=1):
             generators.append(component)
             provenance.append(f"relator:{index}:component:{k}")
-    return LieRepIdealPresentation(
-        source=source,
-        target=target,
+    return RepIdealPresentation(
         ring=ring,
         ideal=Ideal(ring, tuple(generators)),
         provenance=tuple(provenance),
@@ -355,7 +321,7 @@ def check_observable_invariance(
     generators = list(block_ideal_generators(target, 0, extended))
     generators.extend(embed(g, extended) for g in presentation.ideal.generators)
     gb = groebner(Ideal(extended, tuple(generators)), GREVLEX)
-    conjugated = conjugation_substitution(observable, target, n)
+    conjugated = conjugation_substitution(observable, target)
     difference = conjugated - embed(observable, extended)
     return ideal_member(difference, gb)
 

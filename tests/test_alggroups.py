@@ -272,7 +272,7 @@ def test_conjugated_entry_not_congruent(sl2):
 def test_conjugation_fixes_constants(sl2):
     ring = block_ring(sl2, [1])
     one = Polynomial.one(ring)
-    assert conjugation_substitution(one, sl2, n_copies=1) == Polynomial.one(
+    assert conjugation_substitution(one, sl2) == Polynomial.one(
         block_ring(sl2, [0, 1])
     )
 

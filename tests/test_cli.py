@@ -289,3 +289,95 @@ def test_repeated_runs_identical(z2_file):
         first = invoke(*argv)
         second = invoke(*argv)
         assert first == second
+
+
+# The five options that read a JSON file, each with valid values for the
+# other options: (argv before the file, argv after it).
+FILE_OPTIONS = {
+    "rep-ideal --group": (["rep-ideal", "--group"], ["--target", "sl:2"]),
+    "rep-ideal --target": (["rep-ideal", "--group", "{z2}", "--target"], []),
+    "rep-count --finite": (["rep-count", "--group", "{z2}", "--finite"], []),
+    "lie-rep-ideal --source": (["lie-rep-ideal", "--source"], ["--target", "sl2"]),
+    "lie-rep-ideal --target": (["lie-rep-ideal", "--source", "{ab2}", "--target"], []),
+}
+
+# name -> (file text, or None for no file; what the one error line must contain).
+MALFORMED_FILES = {
+    "number": ("5", "JSON: expected an object"),
+    "string": ('"x"', "JSON: expected an object"),
+    "list": ("[1]", "JSON: expected an object"),
+    "truncated": ('{"generators": ["a"],', "{path}: line 1 column 22:"),
+    "directory": (None, "{path}"),
+    "missing": (None, "{path}"),
+}
+
+
+@pytest.mark.parametrize("content", sorted(MALFORMED_FILES))
+@pytest.mark.parametrize("option", sorted(FILE_OPTIONS))
+def test_malformed_input_file_exits_two_with_one_line(
+    tmp_path, z2_file, abelian_lie_file, option, content
+):
+    path = tmp_path / f"{content}.json"
+    text, expected = MALFORMED_FILES[content]
+    if content == "directory":
+        path.mkdir()
+    elif text is not None:
+        path.write_text(text)
+    before, after = FILE_OPTIONS[option]
+    before = [a.format(z2=z2_file, ab2=abelian_lie_file) for a in before]
+    code, out, err = invoke(*before, str(path), *after)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert expected.format(path=path) in err
+
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ({"generators": 5}, "generators"),
+        ({"generators": ["a"], "relators": [5]}, "relators"),
+        ({"generators": ["a"], "relators": "a^2"}, "relators"),
+    ],
+    ids=["generators-number", "relators-number-item", "relators-string"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rep-ideal", "--target", "sl:2", "--group"),
+        ("rep-count", "--finite", "sym:3", "--group"),
+        ("invariance", "--word", "a", "--target", "sl:2", "--group"),
+        ("lie-rep-ideal", "--target", "sl2", "--source"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_presentation_field_types_are_named(tmp_path, argv, payload, key):
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = invoke(*argv, str(path))
+    assert code == 2
+    assert err == f'error: presentation JSON: "{key}" must be a list of strings\n'
+
+
+def test_rep_ideal_text_output_is_pinned(z2_file):
+    code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", "gl:2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "variables: x1_11 x1_12 x1_21 x1_22 t1\n"
+        "g0 [copy_ideal:1]: -x1_12*x1_21*t1 + x1_11*x1_22*t1 - 1\n"
+        "g1 [relator:0:entry:1,1]: x1_11^2 + x1_12*x1_21 - 1\n"
+        "g2 [relator:0:entry:1,2]: x1_11*x1_12 + x1_12*x1_22\n"
+        "g3 [relator:0:entry:2,1]: x1_11*x1_21 + x1_21*x1_22\n"
+        "g4 [relator:0:entry:2,2]: x1_12*x1_21 + x1_22^2 - 1\n"
+    )
+
+
+def test_lie_rep_ideal_text_output_is_pinned(abelian_lie_file):
+    code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", "sl2")
+    assert (code, err) == (0, "")
+    assert out == (
+        "variables: y1_1 y1_2 y1_3 y2_1 y2_2 y2_3\n"
+        "g0 [relator:0:component:1]: 2*y1_3*y2_1 - 2*y1_1*y2_3\n"
+        "g1 [relator:0:component:2]: -2*y1_3*y2_2 + 2*y1_2*y2_3\n"
+        "g2 [relator:0:component:3]: -y1_2*y2_1 + y1_1*y2_2\n"
+    )

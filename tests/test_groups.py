@@ -118,6 +118,16 @@ def test_presentation_json_roundtrip(tmp_path):
     assert pres.to_json() == data
 
 
+def test_presentation_mapping_is_checked_like_a_file():
+    data = {"generators": ["a", "b"], "relators": ["a b a^-1 b^-1"]}
+    assert GroupPresentation.from_json(data).to_json() == data
+    assert GroupPresentation.from_json({"generators": ["a"]}) == GroupPresentation(("a",))
+    with pytest.raises(WordError, match='"relators" must be a list of strings'):
+        GroupPresentation.from_json({"generators": ["a"], "relators": "a^2"})
+    with pytest.raises(WordError, match='missing key "generators"'):
+        GroupPresentation.from_json({"relators": []})
+
+
 def test_presentation_validation():
     with pytest.raises(ValueError):
         GroupPresentation(("a", "a"))

@@ -12,6 +12,7 @@ from conftest import random_hmorphism, random_term
 from hopfrep.groups import FreeWord, parse_word
 from hopfrep.prop_h import (
     ArityError,
+    Gen,
     GroupAlgebraModel,
     HMorphism,
     LinHom,
@@ -54,6 +55,26 @@ def test_generator_tuples():
     assert generator_morphism("eta") == HMorphism(0, 1, (FreeWord(0),))
     assert generator_morphism("epsilon") == HMorphism(1, 0, ())
     assert generator_morphism("tau") == HMorphism(2, 2, (word("x2", 2), word("x1", 2)))
+
+
+def test_generator_arities_and_unknown_names():
+    expected = {
+        "mu": (2, 1),
+        "delta": (1, 2),
+        "antipode": (1, 1),
+        "eta": (0, 1),
+        "epsilon": (1, 0),
+        "tau": (2, 2),
+    }
+    for name, arity in expected.items():
+        assert Gen(name).arity() == arity
+        morphism = generator_morphism(name)
+        assert (morphism.dom, morphism.cod) == arity
+    for name in ("nu", "S", "eps"):
+        with pytest.raises(ValueError, match="unknown generator"):
+            generator_morphism(name)
+        with pytest.raises(ValueError, match="unknown generator"):
+            Gen(name)
 
 
 def test_compose_delta_mu():
