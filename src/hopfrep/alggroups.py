@@ -438,8 +438,10 @@ def _additive_group() -> PresentedCommHopf:
     return group
 
 
-def _per_variable(data: JsonObject, key: str, variables: Sequence[str]) -> list:
+def _per_variable(data: JsonObject, key: str, variables: Sequence[str], leaf=str) -> list:
     table = data[key]
+    if not isinstance(table, dict) or not all(isinstance(x, leaf) for x in table.values()):
+        raise data.fail(f'"{key}" must map variables to {"strings" if leaf is str else "numbers"}')
     for v in variables:
         if v not in table:
             raise data.fail(f'"{key}" has no entry for variable {v!r}')
@@ -447,23 +449,26 @@ def _per_variable(data: JsonObject, key: str, variables: Sequence[str]) -> list:
 
 
 def _group_from_json(data: JsonObject) -> PresentedCommHopf:
-    variables = tuple(data["variables"])
-    ring = variables
+    variables = data.array("variables")
+    if not variables:
+        raise data.fail('"variables" must not be empty')
     doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
-    ideal = Ideal(ring, tuple(parse_polynomial(s, ring) for s in data.get("ideal", [])))
-    counit = tuple(Fraction(str(x)) for x in _per_variable(data, "counit", variables))
+    texts = data.array("ideal") if "ideal" in data else ()
+    ideal = Ideal(variables, tuple(parse_polynomial(s, variables) for s in texts))
+    counit = _per_variable(data, "counit", variables, (int, float, str))
+    counit = tuple(Fraction(str(x)) for x in counit)
     comultiplication = tuple(
         parse_polynomial(s, doubled) for s in _per_variable(data, "delta", variables)
     )
     antipode = tuple(
-        parse_polynomial(s, ring) for s in _per_variable(data, "antipode", variables)
+        parse_polynomial(s, variables) for s in _per_variable(data, "antipode", variables)
     )
     matrix = None
     if "matrix" in data:
-        rows = data["matrix"]
+        rows = data.array("matrix", 2)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise data.fail('"matrix" must be a non-empty square matrix')
-        matrix = tuple(tuple(parse_polynomial(s, ring) for s in row) for row in rows)
+        matrix = tuple(tuple(parse_polynomial(s, variables) for s in row) for row in rows)
     group = PresentedCommHopf(
         name=str(data.get("name", "custom")),
         variables=variables,
@@ -598,9 +603,9 @@ def make_lie(spec) -> LieAlgebraData:
     path = Path(text)
     if path.exists():
         data = JsonObject(path, "Lie", LieDataError)
-        return lie_from_constants(
-            data["constants"], data.get("basis", None), data.get("name", "custom")
-        )
+        basis = data.array("basis") if "basis" in data else None
+        constants = data.array("constants", 3, (int, float, str), "numbers")
+        return lie_from_constants(constants, basis, str(data.get("name", "custom")))
     raise LieDataError(f"unknown Lie algebra spec {text!r}")
 
 
@@ -664,8 +669,8 @@ class LiePresentation:
     def from_json(source) -> "LiePresentation":
         """Read ``{"generators": [...], "relators": [...]}`` from a path or a mapping."""
         data = JsonObject(source, "presentation", LieParseError)
-        generators = data.strings("generators")
-        texts = data.strings("relators") if "relators" in data else ()
+        generators = data.array("generators")
+        texts = data.array("relators") if "relators" in data else ()
         relators = tuple(parse_lie_expr(text, generators) for text in texts)
         return LiePresentation(generators, relators)
 

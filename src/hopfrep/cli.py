@@ -252,6 +252,7 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
         args = parser.parse_args(list(argv))
         if args.verbose:
             _emit(err, f"hopfrep: running {args.command}")
+            polyalg.stats_stream = err
         return _COMMANDS[args.command](args, out)
     except (KeyError, ValueError) as exc:
         # Every error class of the library, and CliError, is a ValueError.
@@ -260,6 +261,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
     except RecursionError:
         _emit(err, "error: input nests too deeply")
         return 2
+    finally:
+        polyalg.stats_stream = None
 
 
 def main() -> None:

@@ -216,12 +216,16 @@ class JsonObject:
     def get(self, key: str, default):
         return self.data.get(key, default)
 
-    def strings(self, key: str) -> tuple[str, ...]:
-        """The list of strings under ``key``, which must be present."""
-        value = self[key]
-        if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-            raise self.fail(f'"{key}" must be a list of strings')
-        return tuple(value)
+    def array(self, key: str, depth: int = 1, leaf=str, what: str = "strings") -> tuple:
+        """The ``depth`` times nested list of ``leaf`` values under ``key``, which must exist."""
+        def fits(x, levels: int) -> bool:
+            if levels == 0:
+                return isinstance(x, leaf)
+            return isinstance(x, list) and all(fits(y, levels - 1) for y in x)
+
+        if not fits(self[key], depth):
+            raise self.fail(f'"{key}" must be a list of {"lists of " * (depth - 1)}{what}')
+        return tuple(self[key])
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +263,8 @@ class GroupPresentation:
     def from_json(source) -> "GroupPresentation":
         """Read ``{"generators": [...], "relators": [...]}`` from a path or a mapping."""
         data = JsonObject(source, "presentation", WordError)
-        generators = data.strings("generators")
-        texts = data.strings("relators") if "relators" in data else ()
+        generators = data.array("generators")
+        texts = data.array("relators") if "relators" in data else ()
         relators = tuple(parse_word(text, generators) for text in texts)
         return GroupPresentation(generators, relators)
 
@@ -440,7 +444,8 @@ def make_finite_group(spec) -> FiniteGroup:
     if not path.exists():
         raise GroupTableError(f"unknown finite group spec {text!r}")
     data = JsonObject(path, "finite group", GroupTableError)
-    return FiniteGroup.from_table(data["table"], data.get("names", None))
+    names = data.array("names") if "names" in data else None
+    return FiniteGroup.from_table(data.array("table", 2, int, "integers"), names)
 
 
 # ---------------------------------------------------------------------------

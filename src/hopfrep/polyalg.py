@@ -15,11 +15,12 @@ by every monomial order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import add, sub
-from typing import Callable, Mapping, Sequence
+from itertools import compress
+from operator import add, le, sub
+from typing import IO, Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Ring = tuple[str, ...]
@@ -334,11 +335,12 @@ class Ideal:
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced, monic Groebner basis together with its defining data."""
+    """A reduced, monic Groebner basis, its defining data and `groebner`'s counters."""
 
     ideal: Ideal
     order: str
     basis: tuple[Polynomial, ...]
+    stats: Mapping[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def ring(self) -> Ring:
@@ -352,18 +354,27 @@ def _leading(p: Polynomial, key) -> tuple[Exponents, Fraction]:
 
 
 def _monic(p: Polynomial, key) -> Polynomial:
-    _, lc = _leading(p, key)
-    if lc == 1:
-        return p
-    return p * (Fraction(1) / lc)
+    lc = _leading(p, key)[1]
+    return p if lc == 1 else p * (1 / lc)
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
+
+
+# ``sum(compress(_BITS, e))`` sets bit i when variable i occurs in ``e``.  Masks
+# cover the first 64 variables; `_divides` still decides divisibility.
+_BITS = [1 << i for i in range(64)]
+
+
+def _prepare(g: Polynomial, key) -> tuple:
+    """``(lm, lm mask, lc, tail)`` of a divisor."""
+    lm, lc = _leading(g, key)
+    return lm, sum(compress(_BITS, lm)), lc, tuple(t for t in g.terms if t[0] != lm)
 
 
 def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREVLEX) -> Polynomial:
@@ -373,15 +384,12 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
     leading monomial.  Divisors are tried in the given order, so the
     output is deterministic for a fixed sequence.
     """
+    if not divisors:
+        return p
     key = monomial_key(order)
     heap_key = _HEAP_KEYS[order]
-    prepared = []
-    for g in divisors:
-        if g.is_zero():
-            continue
-        lm, lc = _leading(g, key)
-        tail = tuple(t for t in g.terms if t[0] != lm)
-        prepared.append((lm, lc, tail))
+    if not isinstance(divisors, dict):  # `groebner` keeps its divisors prepared, by index
+        divisors = dict(enumerate(_prepare(g, key) for g in divisors if not g.is_zero()))
     work = dict(p.terms)
     # Each monomial is pushed once, when it enters ``work``.  A step only adds
     # monomials below the one it reduces, so a popped monomial never comes
@@ -395,8 +403,9 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
         coeff = work.pop(exponents)
         if not coeff:
             continue
-        for lm, lc, tail in prepared:
-            if _divides(lm, exponents):
+        absent = ~sum(compress(_BITS, exponents))
+        for lm, mask, lc, tail in divisors.values():
+            if not mask & absent and _divides(lm, exponents):
                 shift = tuple(map(sub, exponents, lm))
                 factor = coeff / lc
                 for te, tc in tail:
@@ -414,81 +423,99 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    lf, cf = _leading(f, key)
-    lg, cg = _leading(g, key)
+    (lf, cf), (lg, cg) = _leading(f, key), _leading(g, key)
     lcm = _lcm(lf, lg)
-    shift_f = tuple(x - y for x, y in zip(lcm, lf))
-    shift_g = tuple(x - y for x, y in zip(lcm, lg))
-    mono_f = Polynomial.from_dict(f.ring, {shift_f: Fraction(1, 1) / cf})
-    mono_g = Polynomial.from_dict(g.ring, {shift_g: Fraction(1, 1) / cg})
+    mono_f = Polynomial(f.ring, ((tuple(map(sub, lcm, lf)), 1 / cf),))
+    mono_g = Polynomial(g.ring, ((tuple(map(sub, lcm, lg)), 1 / cg),))
     return mono_f * f - mono_g * g
 
 
-def _pair_entry(lead: list[Exponents], key, i: int, j: int) -> tuple:
-    lcm = _lcm(lead[i], lead[j])
-    return (key(lcm), (i, j), lcm)
+# When set, `groebner` writes one line of stats here per basis (``--verbose``).
+stats_stream: IO[str] | None = None
 
 
 def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
     """Reduced Groebner basis of ``ideal`` for the requested monomial order.
 
-    Buchberger's algorithm with the product criterion (coprime leading
-    monomials) and the chain criterion, followed by minimalization and
-    full tail reduction.  Basis elements are monic and sorted with the
-    largest leading monomial first.
+    Buchberger's algorithm with the Gebauer–Möller pair update (Becker and
+    Weispfenning's UPDATE), followed by minimalization and full tail
+    reduction.  Basis elements are monic and sorted with the largest
+    leading monomial first.  ``stats`` counts every `normal_form` call as a
+    reduction; its maxima run over every element that entered the divisor set.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
     key = monomial_key(order)
-    basis = [_monic(g, key) for g in ideal.generators if not g.is_zero()]
-    lead = [_leading(g, key)[0] for g in basis]
-
-    # Pairs pop in order of (key(lcm), (i, j)); the key is computed once, when
-    # the pair is queued, and the lcm rides along.
-    pairs = [_pair_entry(lead, key, i, j) for j in range(len(basis)) for i in range(j)]
-    heapify(pairs)
-    processed: set[tuple[int, int]] = set()
-    while pairs:
-        _, pair, lcm = heappop(pairs)
-        processed.add(pair)
-        i, j = pair
-        if lcm == tuple(a + b for a, b in zip(lead[i], lead[j])):
-            continue  # product criterion: coprime leading monomials
-        skip = False
-        for k in range(len(basis)):
-            if k in pair or not _divides(lead[k], lcm):
+    names = ("pairs", "product_skips", "gm_skips", "reductions", "zero_reductions", "peak_divisors")
+    count = dict.fromkeys(names, 0)
+    basis: list[Polynomial] = []  # every element ever added, monic, by index
+    lead: list[Exponents] = []
+    members: dict[int, tuple] = {}  # the divisor set, prepared
+    # Pairs pop in order of (key(lcm), (i, j)); the lcm rides along.
+    pairs: list[tuple] = []
+    incoming = [_monic(g, key) for g in reversed(ideal.generators) if not g.is_zero()]
+    while incoming or pairs:
+        if incoming:
+            h = incoming.pop()
+        else:
+            _, (i, j), _ = heappop(pairs)
+            r = normal_form(_s_polynomial(basis[i], basis[j], key), members, order)
+            count["reductions"] += 1
+            if r.is_zero():
+                count["zero_reductions"] += 1
                 continue
-            p1 = (min(i, k), max(i, k))
-            p2 = (min(j, k), max(j, k))
-            if p1 in processed and p2 in processed:
-                skip = True
-                break
-        if skip:
-            continue  # chain criterion
-        s = _s_polynomial(basis[i], basis[j], key)
-        r = normal_form(s, basis, order)
-        if not r.is_zero():
-            basis.append(_monic(r, key))
-            lead.append(_leading(basis[-1], key)[0])
-            new = len(basis) - 1
-            for k in range(new):
-                heappush(pairs, _pair_entry(lead, key, k, new))
+            h = _monic(r, key)
+        new, lm = len(basis), _leading(h, key)[0]
+        basis.append(h)
+        lead.append(lm)
+        # Gebauer–Möller.  An old pair goes if lm divides its lcm, unless the
+        # lcm is also that of one of its elements with h.
+        queued = len(pairs)
+        pairs = [
+            (sort_key, (i, j), m)
+            for sort_key, (i, j), m in pairs
+            if not _divides(lm, m) or m in (_lcm(lead[i], lm), _lcm(lead[j], lm))
+        ]
+        heapify(pairs)
+        count["gm_skips"] += queued - len(pairs)
+        # A new pair goes if another new pair's lcm divides its own; of equal
+        # lcms one stays, a coprime one if there is one.  Smallest lcm first, so
+        # only kept pairs need checking.  Coprime survivors prune, then go.
+        lcms = {i: _lcm(lead[i], lm) for i in members}
+        fresh = sorted((key(m), m != tuple(map(add, lead[i], lm)), i, m) for i, m in lcms.items())
+        count["pairs"] += len(fresh)
+        kept: list[Exponents] = []
+        for sort_key, shares, i, m in fresh:
+            if any(_divides(other, m) for other in kept):
+                count["gm_skips"] += 1
+                continue
+            kept.append(m)
+            if shares:
+                heappush(pairs, (sort_key, (i, new), m))
+            else:
+                count["product_skips"] += 1
+        # Elements whose leading monomial lm divides leave the divisor set.
+        members = {i: d for i, d in members.items() if not _divides(lm, d[0])}
+        members[new] = _prepare(h, key)
+        count["peak_divisors"] = max(count["peak_divisors"], len(members))
 
-    # Minimalize: visit elements by increasing leading monomial and drop
-    # any whose leading monomial is divisible by one already kept.
-    keep: list[int] = []
-    for i in sorted(range(len(basis)), key=lambda i: (key(lead[i]), i)):
-        if not any(_divides(lead[j], lead[i]) for j in keep):
-            keep.append(i)
-    minimal = [basis[i] for i in sorted(keep)]
-    # Tail-reduce each element against the others; leading monomials are
-    # pairwise indivisible at this point, so one pass suffices.
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1 :]
-        reduced.append(_monic(normal_form(g, others, order), key))
+    # Drop input generators whose leading monomial an earlier element's
+    # divides, then tail-reduce each element against the others in one pass.
+    keep = [i for i in members if not any(_divides(lead[j], lead[i]) for j in members if j < i)]
+    reduced = [
+        _monic(normal_form(basis[i], {j: members[j] for j in keep if j != i}, order), key)
+        for i in keep
+    ]
+    count["reductions"] += len(keep)
     reduced.sort(key=lambda g: key(_leading(g, key)[0]), reverse=True)
-    return GroebnerBasis(ideal=ideal, order=order, basis=tuple(reduced))
+    count["max_degree"] = max((g.total_degree() for g in basis), default=0)
+    count["max_terms"] = max((len(g.terms) for g in basis), default=0)
+    sizes = [x.bit_length() for g in basis for _, c in g.terms for x in c.as_integer_ratio()]
+    count["max_coeff_bits"] = max(sizes, default=0)
+    if stats_stream is not None:
+        line = " ".join(f"{k}={v}" for k, v in count.items())
+        print(f"groebner {order}, {len(ideal.ring)} variables: {line}", file=stats_stream)
+    return GroebnerBasis(ideal=ideal, order=order, basis=tuple(reduced), stats=count)
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:

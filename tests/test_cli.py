@@ -381,3 +381,123 @@ def test_lie_rep_ideal_text_output_is_pinned(abelian_lie_file):
         "g1 [relator:0:component:2]: -2*y1_3*y2_2 + 2*y1_2*y2_3\n"
         "g2 [relator:0:component:3]: -y1_2*y2_1 + y1_1*y2_2\n"
     )
+
+
+def test_verbose_prints_groebner_stats_and_keeps_stdout(z2_file):
+    from hopfrep import alggroups, groups, polyalg, repvariety
+
+    keys = (
+        "pairs product_skips gm_skips reductions zero_reductions peak_divisors"
+        " max_degree max_terms max_coeff_bits"
+    ).split()
+    for argv in (
+        ("rep-ideal", "--group", z2_file, "--target", "sl:2", "--groebner"),
+        ("invariance", "--word", "a", "--group", z2_file, "--target", "sl:2"),
+    ):
+        code, out, err = invoke(*argv)
+        assert err == ""
+        loud_code, loud_out, loud_err = invoke("--verbose", *argv)
+        assert (loud_code, loud_out) == (code, out)
+        first, *lines = loud_err.splitlines()
+        assert first == f"hopfrep: running {argv[0]}"
+        # Two bases validate the target, and one answers the command.
+        assert len(lines) == 3, loud_err
+        for line in lines:
+            assert line.startswith("groebner grevlex, ")
+            assert [pair.split("=")[0] for pair in line.split(": ")[1].split()] == keys
+    ideal = repvariety.rep_ideal(
+        groups.GroupPresentation.from_json(z2_file), alggroups.make_group("sl:2")
+    ).ideal
+    stats = polyalg.groebner(ideal).stats
+    _, _, loud_err = invoke(
+        "--verbose", "rep-ideal", "--group", z2_file, "--target", "sl:2", "--groebner"
+    )
+    assert loud_err.splitlines()[-1] == "groebner grevlex, 4 variables: " + " ".join(
+        f"{k}={v}" for k, v in stats.items()
+    )
+
+
+def test_target_json_without_variables_exits_two(tmp_path, z2_file):
+    path = tmp_path / "point.json"
+    path.write_text(
+        json.dumps(
+            {
+                "variables": [],
+                "ideal": [],
+                "counit": {},
+                "delta": {},
+                "antipode": {},
+                "matrix": [["1"]],
+            }
+        )
+    )
+    code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == 'error: group JSON: "variables" must not be empty\n'
+
+
+TORUS_JSON = {
+    "variables": ["z", "w"],
+    "ideal": ["z*w - 1"],
+    "counit": {"z": "1", "w": "1"},
+    "delta": {"z": "z'*z''", "w": "w'*w''"},
+    "antipode": {"z": "w", "w": "z"},
+    "matrix": [["z"]],
+}
+SL2_LIE_CONSTANTS = [
+    [[0, 0, 0], [0, 0, 1], [-2, 0, 0]],
+    [[0, 0, -1], [0, 0, 0], [0, 2, 0]],
+    [[2, 0, 0], [0, -2, 0], [0, 0, 0]],
+]
+
+# option -> (argv before the file, a valid payload); each case below breaks one field.
+TYPED_OPTIONS = {
+    "rep-ideal --target": (["rep-ideal", "--group", "{z2}", "--target"], TORUS_JSON),
+    "rep-count --finite": (["rep-count", "--group", "{z2}", "--finite"], {"table": [[0]]}),
+    "lie-rep-ideal --target": (
+        ["lie-rep-ideal", "--source", "{ab2}", "--target"],
+        {"constants": SL2_LIE_CONSTANTS},
+    ),
+}
+
+
+TYPED_FIELDS = [
+    ("rep-ideal --target", "variables", 5, "must be a list of strings"),
+    ("rep-ideal --target", "ideal", "z*w - 1", "must be a list of strings"),
+    ("rep-ideal --target", "matrix", ["z"], "must be a list of lists of strings"),
+    ("rep-ideal --target", "counit", 5, "must map variables to numbers"),
+    ("rep-ideal --target", "delta", {"z": 5, "w": "w'*w''"}, "must map variables to strings"),
+    ("rep-ideal --target", "antipode", ["w", "z"], "must map variables to strings"),
+    ("rep-count --finite", "table", 5, "must be a list of lists of integers"),
+    ("rep-count --finite", "names", 5, "must be a list of strings"),
+    ("lie-rep-ideal --target", "constants", 5, "must be a list of lists of lists of numbers"),
+    ("lie-rep-ideal --target", "basis", "e f h", "must be a list of strings"),
+]
+
+
+@pytest.mark.parametrize(
+    "option, field, value, message",
+    TYPED_FIELDS,
+    ids=[f"{option.split()[0]}-{field}" for option, field, _, _ in TYPED_FIELDS],
+)
+def test_input_file_field_types_are_named(
+    tmp_path, z2_file, abelian_lie_file, option, field, value, message
+):
+    before, payload = TYPED_OPTIONS[option]
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(dict(payload, **{field: value})))
+    before = [a.format(z2=z2_file, ab2=abelian_lie_file) for a in before]
+    code, out, err = invoke(*before, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.endswith(f'JSON: "{field}" {message}\n'), err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option", sorted(TYPED_OPTIONS))
+def test_typed_option_payloads_are_valid(tmp_path, z2_file, abelian_lie_file, option):
+    before, payload = TYPED_OPTIONS[option]
+    path = tmp_path / "valid.json"
+    path.write_text(json.dumps(payload))
+    before = [a.format(z2=z2_file, ab2=abelian_lie_file) for a in before]
+    code, out, err = invoke(*before, str(path))
+    assert (code, err) == (0, "")

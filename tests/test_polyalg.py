@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hopfrep import polyalg
 from hopfrep.polyalg import (
     GREVLEX,
     LEX,
@@ -279,6 +280,63 @@ def test_one_member_iff_unit_basis():
     assert ideal_member(Polynomial.one(ring), unit)
     proper = groebner(Ideal(ring, (x - 1,)))
     assert not ideal_member(Polynomial.one(ring), proper)
+
+
+def test_stats_reductions_are_the_normal_form_calls(monkeypatch):
+    calls = []
+    original = polyalg.normal_form
+
+    def counted(p, divisors, order=GREVLEX):
+        result = original(p, divisors, order)
+        calls.append(result.is_zero())
+        return result
+
+    monkeypatch.setattr(polyalg, "normal_form", counted)
+    ideals = [
+        Ideal(RING, (X * Y - Z, Y * Z - X, Z * X - Y)),
+        Ideal(RING, (X + Y + Z, X * Y + Y * Z + Z * X, X * Y * Z - 1)),
+        Ideal(RING, (X**2 - Y, X * Y - Z, Y**2 - X * Z, X - 1)),
+    ]
+    for order in (GREVLEX, LEX):
+        for ideal in ideals:
+            calls.clear()
+            gb = groebner(ideal, order)
+            stats = gb.stats
+            assert stats["reductions"] == len(calls)
+            assert stats["zero_reductions"] == sum(calls)
+            # Each pair is dropped by one criterion or reduced once; the tail
+            # reduction adds one call per basis element.
+            reduced_pairs = stats["reductions"] - len(gb.basis)
+            assert stats["pairs"] == stats["product_skips"] + stats["gm_skips"] + reduced_pairs
+            assert stats["max_degree"] >= max(g.total_degree() for g in ideal.generators)
+            assert stats["max_terms"] >= max(len(g.terms) for g in gb.basis)
+
+
+def test_stats_by_hand_and_left_out_of_equality():
+    # x - 1 and y - 1: one pair, coprime; two tail reductions.
+    gb = groebner(Ideal(RING, (X - 1, Y - 1)))
+    assert dict(gb.stats) == {
+        "pairs": 1,
+        "product_skips": 1,
+        "gm_skips": 0,
+        "reductions": 2,
+        "zero_reductions": 0,
+        "peak_divisors": 2,
+        "max_degree": 1,
+        "max_terms": 2,
+        "max_coeff_bits": 1,
+    }
+    assert gb == polyalg.GroebnerBasis(gb.ideal, gb.order, gb.basis)
+    # x*y, y*z, x*z: the pair (x*y, y*z) is queued first.  x*z keeps it, since
+    # its lcm x*y*z is also that of (x*y, x*z); of the two new pairs, both with
+    # lcm x*y*z, one goes.  Two S-pairs reduce to zero, then three tail reductions.
+    stats = groebner(Ideal(RING, (X * Y, Y * Z, X * Z))).stats
+    assert (stats["pairs"], stats["gm_skips"], stats["product_skips"]) == (3, 1, 0)
+    assert (stats["reductions"], stats["zero_reductions"], stats["peak_divisors"]) == (5, 2, 3)
+    # x^2 then x: x's leading monomial divides x^2's, which leaves the divisor set.
+    gb = groebner(Ideal(RING, (X**2 - 1, X - 1)))
+    assert gb.basis == (X - 1,)
+    assert gb.stats["peak_divisors"] == 1
 
 
 # -- linear algebra ---------------------------------------------------------

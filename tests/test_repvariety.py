@@ -338,9 +338,12 @@ def test_trace_invariance_all_short_words(sl2):
 # -- printed reduced bases, pinned -------------------------------------------------
 #
 # Recorded before the Groebner engine took its pairs from a heap and kept the
-# terms of a division in one; any change to the engine must print the same.
+# terms of a division in one; the Z^2 (ZSQ) and Z/3 bases were recorded before
+# it kept its divisors prepared and pruned pairs by Gebauer-Moller.  Any change
+# to the engine must print the same.
 
 BS12 = GroupPresentation(("a", "b"), (parse_word("a b a^-1 b^-2", ("a", "b")),))
+Z3 = GroupPresentation(("a",), (parse_word("a^3", ("a",)),))
 
 _Z2_SL3_GREVLEX = (
     "x1_11^2 - x1_22^2 - 2*x1_22*x1_33 - x1_33^2 + 2*x1_11 + 1",
@@ -403,14 +406,81 @@ _BS12_SL2_GREVLEX = (
 )
 
 
+_ZSQ_SL2_GREVLEX = (
+    "x1_11*x1_22*x2_21^2 - x1_11*x1_21*x2_21*x2_22 + x1_21*x1_22*x2_21*x2_22 - x1_21^2*x2_22^2 + x1_21^2 - x2_21^2",
+    "x1_11*x1_22*x2_11 - x1_11*x1_12*x2_21 + x1_12*x1_22*x2_21 - x1_11*x1_22*x2_22 - x2_11 + x2_22",
+    "x1_11*x1_22*x2_12 - x1_12^2*x2_21 - x2_12",
+    "x1_12*x2_21^2 - x1_11*x2_21*x2_22 + x1_22*x2_21*x2_22 - x1_21*x2_22^2 + x1_21",
+    "x1_12*x1_21 - x1_11*x1_22 + 1",
+    "x1_12*x2_11 - x1_11*x2_12 + x1_22*x2_12 - x1_12*x2_22",
+    "x1_21*x2_11 - x1_11*x2_21 + x1_22*x2_21 - x1_21*x2_22",
+    "x1_21*x2_12 - x1_12*x2_21",
+    "x2_12*x2_21 - x2_11*x2_22 + 1",
+)
+
+_ZSQ_SL2_LEX = (
+    "-x1_12*x1_21 + x1_11*x1_22 - 1",
+    "-x1_12*x2_11 + x1_11*x2_12 - x1_22*x2_12 + x1_12*x2_22",
+    "-x1_21*x2_11 + x1_11*x2_21 - x1_22*x2_21 + x1_21*x2_22",
+    "-x1_12*x1_22*x2_11 + x1_12*x1_21*x2_12 - x1_22^2*x2_12 + x1_12*x1_22*x2_22 + x2_12",
+    "-x1_21*x2_12 + x1_12*x2_21",
+    "-x1_21*x1_22*x2_11 + x1_21^2*x2_12 - x1_22^2*x2_21 + x1_21*x1_22*x2_22 + x2_21",
+    "-x2_12*x2_21 + x2_11*x2_22 - 1",
+)
+
+_ZSQ_GL2_GREVLEX = (
+    "x1_11*x1_22*t1*x2_21^2*t2 - x1_11*x1_21*t1*x2_21*x2_22*t2 + x1_21*x1_22*t1*x2_21*x2_22*t2 - x1_21^2*t1*x2_22^2*t2 + x1_21^2*t1 - x2_21^2*t2",
+    "x1_11*x1_22*t1*x2_11 - x1_11*x1_12*t1*x2_21 + x1_12*x1_22*t1*x2_21 - x1_11*x1_22*t1*x2_22 - x2_11 + x2_22",
+    "x1_11*x1_22*t1*x2_12 - x1_12^2*t1*x2_21 - x2_12",
+    "x1_12*x2_21^2*t2 - x1_11*x2_21*x2_22*t2 + x1_22*x2_21*x2_22*t2 - x1_21*x2_22^2*t2 + x1_21",
+    "x1_12*x1_21*t1 - x1_11*x1_22*t1 + 1",
+    "x2_12*x2_21*t2 - x2_11*x2_22*t2 + 1",
+    "x1_12*x2_11 - x1_11*x2_12 + x1_22*x2_12 - x1_12*x2_22",
+    "x1_21*x2_11 - x1_11*x2_21 + x1_22*x2_21 - x1_21*x2_22",
+    "x1_21*x2_12 - x1_12*x2_21",
+)
+
+_ZSQ_GL2_LEX = (
+    "-x1_12*x1_21*t1 + x1_11*x1_22*t1 - 1",
+    "-x1_12*x2_11 + x1_11*x2_12 - x1_22*x2_12 + x1_12*x2_22",
+    "-x1_21*x2_11 + x1_11*x2_21 - x1_22*x2_21 + x1_21*x2_22",
+    "-x1_12*x1_22*t1*x2_11 + x1_12*x1_21*t1*x2_12 - x1_22^2*t1*x2_12 + x1_12*x1_22*t1*x2_22 + x2_12",
+    "-x1_21*x2_12 + x1_12*x2_21",
+    "-x1_21*x1_22*t1*x2_11 + x1_21^2*t1*x2_12 - x1_22^2*t1*x2_21 + x1_21*x1_22*t1*x2_22 + x2_21",
+    "-x2_12*x2_21*t2 + x2_11*x2_22*t2 - 1",
+)
+
+_Z3_SL2_GREVLEX = (
+    "x1_11^2 - x1_22^2 + x1_11 - x1_22",
+    "x1_11*x1_12 + x1_12*x1_22 + x1_12",
+    "x1_11*x1_21 + x1_21*x1_22 + x1_21",
+    "x1_12*x1_21 + x1_22^2 - x1_11",
+    "x1_11*x1_22 + x1_22^2 - x1_11 - 1",
+)
+
+
 @pytest.mark.parametrize(
     "group, target, order, expected",
     [
         (Z2, "sl:3", "grevlex", _Z2_SL3_GREVLEX),
         (Z2, "sl:3", "lex", _Z2_SL3_LEX),
         (BS12, "sl:2", "grevlex", _BS12_SL2_GREVLEX),
+        (ZSQ, "sl:2", "grevlex", _ZSQ_SL2_GREVLEX),
+        (ZSQ, "sl:2", "lex", _ZSQ_SL2_LEX),
+        (ZSQ, "gl:2", "grevlex", _ZSQ_GL2_GREVLEX),
+        (ZSQ, "gl:2", "lex", _ZSQ_GL2_LEX),
+        (Z3, "sl:2", "grevlex", _Z3_SL2_GREVLEX),
     ],
-    ids=["z2-sl3-grevlex", "z2-sl3-lex", "bs12-sl2-grevlex"],
+    ids=[
+        "z2-sl3-grevlex",
+        "z2-sl3-lex",
+        "bs12-sl2-grevlex",
+        "zsq-sl2-grevlex",
+        "zsq-sl2-lex",
+        "zsq-gl2-grevlex",
+        "zsq-gl2-lex",
+        "z3-sl2-grevlex",
+    ],
 )
 def test_printed_groebner_basis_is_pinned(group, target, order, expected):
     gb = groebner(rep_ideal(group, make_group(target)).ideal, order)
