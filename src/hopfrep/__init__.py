@@ -55,7 +55,6 @@ from .repvariety import (
     check_trace_invariance,
     finite_rep_algebra,
     lie_rep_ideal,
-    nat_transform_from_hom,
     rep_ideal,
 )
 

@@ -16,12 +16,13 @@ the concrete form of the iterated tensor power of the coordinate ring.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .groups import FreeWord, JsonObject
+from .groups import FreeWord, JsonObject, to_postfix
 from .polyalg import (
     GREVLEX,
     Ideal,
@@ -452,6 +453,9 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     variables = data.array("variables")
     if not variables:
         raise data.fail('"variables" must not be empty')
+    repeated = next((v for i, v in enumerate(variables) if v in variables[:i]), None)
+    if repeated is not None:
+        raise data.fail(f'"variables" repeats {repeated!r}')
     doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
     texts = data.array("ideal") if "ideal" in data else ()
     ideal = Ideal(variables, tuple(parse_polynomial(s, variables) for s in texts))
@@ -632,30 +636,10 @@ def lie_from_constants(
 # ---------------------------------------------------------------------------
 
 
-class LieExpr:
-    """Formal Lie expression: generators, brackets, rational combinations."""
-
-
-@dataclass(frozen=True)
-class LieGen(LieExpr):
-    name: str
-
-
-@dataclass(frozen=True)
-class LieBracket(LieExpr):
-    left: LieExpr
-    right: LieExpr
-
-
-@dataclass(frozen=True)
-class LieSum(LieExpr):
-    terms: tuple[tuple[Fraction, LieExpr], ...]
-
-
 @dataclass(frozen=True)
 class LiePresentation:
     generators: tuple[str, ...]
-    relators: tuple[LieExpr, ...] = ()
+    relators: tuple[tuple, ...] = ()
 
     @property
     def n_generators(self) -> int:
@@ -679,98 +663,84 @@ class LieParseError(ValueError):
     pass
 
 
-def parse_lie_expr(text: str, names: Sequence[str]) -> LieExpr:
-    """Parse ``[a,b]``-style bracket expressions with rational coefficients.
+_LIE_TOKEN = re.compile(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[][(),*+-]")
+_LIE_PRECEDENCES = {"+": 1, "-": 1, "*": 2}
+_LIE_BINARY = ("+", "-", "*", "[]")
 
-    Grammar: sums of optionally scaled atoms, an atom being a generator
-    name, a bracket ``[expr, expr]``, or a parenthesized expression;
-    e.g. ``[a,[a,b]] - 2*b``.
+
+def parse_lie_expr(text: str, names: Sequence[str]) -> tuple:
+    """Parse a bracket expression with rational coefficients into postfix.
+
+    Grammar: ``expr := [sign] term (("+" | "-") term)*``, ``term :=
+    [number ["*"]] atom``, ``atom := name | "[" expr "," expr "]" | "("
+    expr ")"``; a sign may open only the whole text or a group, and a
+    number is ``k`` or ``k/m``.  Example: ``[a,[a,b]] - 2*b``.  The result
+    is the postfix token tuple that `evaluate_lie_expr` reads, numbers as
+    Fractions.
     """
-    import re as _re
-
-    tokens = _re.findall(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[][(),*+-]", text)
-    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
+    tokens = _LIE_TOKEN.findall(text)
+    if "".join(tokens) != text.replace(" ", ""):
         raise LieParseError(f"unrecognized characters in {text!r}")
-    cursor = 0
-
-    def peek() -> str | None:
-        return tokens[cursor] if cursor < len(tokens) else None
-
-    def advance() -> str:
-        nonlocal cursor
-        token = peek()
-        if token is None:
-            raise LieParseError("unexpected end of expression")
-        cursor += 1
-        return token
-
-    def expect(token: str) -> None:
-        got = advance()
-        if got != token:
-            raise LieParseError(f"expected {token!r}, got {got!r}")
-
-    def parse_atom() -> LieExpr:
-        token = advance()
-        if token == "[":
-            left = parse_sum()
-            expect(",")
-            right = parse_sum()
-            expect("]")
-            return LieBracket(left, right)
-        if token == "(":
-            inner = parse_sum()
-            expect(")")
-            return inner
-        if token in names:
-            return LieGen(token)
-        raise LieParseError(f"unknown generator {token!r}")
-
-    def parse_term() -> tuple[Fraction, LieExpr]:
-        coefficient = Fraction(1)
-        token = peek()
-        if token is not None and (token[0].isdigit()):
-            coefficient = Fraction(advance())
-            if peek() == "*":
-                advance()
-        return coefficient, parse_atom()
-
-    def parse_sum() -> LieExpr:
-        sign = Fraction(1)
-        if peek() in ("+", "-"):
-            sign = Fraction(-1) if advance() == "-" else Fraction(1)
-        coefficient, atom = parse_term()
-        terms = [(sign * coefficient, atom)]
-        while peek() in ("+", "-"):
-            sign = Fraction(-1) if advance() == "-" else Fraction(1)
-            coefficient, atom = parse_term()
-            terms.append((sign * coefficient, atom))
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        return LieSum(tuple(terms))
-
-    expr = parse_sum()
-    if cursor != len(tokens):
-        raise LieParseError(f"trailing input at {tokens[cursor]!r}")
-    return expr
+    infix: list[str] = []
+    for token in tokens:
+        after_number = bool(infix) and infix[-1][0].isdigit()
+        if token == "*" and not after_number:
+            raise LieParseError("'*' must follow a coefficient")
+        if after_number and token not in ("+", "-", "*", ",", ")", "]"):
+            infix.append("*")  # a juxtaposed coefficient: ``3 a``
+        infix.append(token)
+    postfix: list = []
+    for token in to_postfix(infix, _LIE_PRECEDENCES, LieParseError):
+        if token[0].isdigit():
+            try:
+                token = Fraction(token)
+            except ZeroDivisionError:
+                raise LieParseError(f"zero denominator in {token!r}")
+        elif token == "u+":  # a prefix plus changes nothing
+            continue
+        elif token != "u-" and token not in _LIE_BINARY and token not in names:
+            raise LieParseError(f"unknown generator {token!r}")
+        postfix.append(token)
+    # Coefficients (True) may only scale elements (False) from the left.  A
+    # signed coefficient never reaches an operator: ``-3*a`` signs the product.
+    kinds: list[bool] = []
+    for token in postfix:
+        if token in _LIE_BINARY:
+            right = kinds.pop()
+            if right or kinds[-1] != (token == "*"):
+                raise LieParseError(f"bad operands for {token!r}")
+            kinds[-1] = False
+        elif token != "u-":
+            kinds.append(isinstance(token, Fraction))
+    if kinds[0]:
+        raise LieParseError("a coefficient alone is not an element")
+    return tuple(postfix)
 
 
 def evaluate_lie_expr(
-    expr: LieExpr,
+    expr: tuple,
     assignment: Mapping[str, Sequence[Polynomial]],
     lie: LieAlgebraData,
     ring: Ring,
 ) -> list[Polynomial]:
-    """Evaluate a formal expression to a coordinate vector over ``ring``."""
-    if isinstance(expr, LieGen):
-        return list(assignment[expr.name])
-    if isinstance(expr, LieBracket):
-        left = evaluate_lie_expr(expr.left, assignment, lie, ring)
-        right = evaluate_lie_expr(expr.right, assignment, lie, ring)
-        return lie.bracket_coords(left, right, ring)
-    if isinstance(expr, LieSum):
-        out = [Polynomial.zero(ring) for _ in range(lie.dimension)]
-        for coefficient, part in expr.terms:
-            vec = evaluate_lie_expr(part, assignment, lie, ring)
-            out = [a + v * coefficient for a, v in zip(out, vec)]
-        return out
-    raise TypeError(f"not a Lie expression: {expr!r}")
+    """Evaluate a postfix expression to a coordinate vector over ``ring``."""
+    stack: list = []
+    for token in expr:
+        if isinstance(token, Fraction):
+            stack.append(token)
+        elif token == "u-":
+            stack[-1] = [-v for v in stack[-1]]
+        elif token in _LIE_BINARY:
+            right = stack.pop()
+            left = stack[-1]
+            if token == "[]":
+                stack[-1] = lie.bracket_coords(left, right, ring)
+            elif token == "*":
+                stack[-1] = [v * left for v in right]
+            elif token == "+":
+                stack[-1] = [a + b for a, b in zip(left, right)]
+            else:
+                stack[-1] = [a - b for a, b in zip(left, right)]
+        else:
+            stack.append(list(assignment[token]))
+    return stack[0]

@@ -258,9 +258,6 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
         # Every error class of the library, and CliError, is a ValueError.
         _emit(err, f"error: {exc}")
         return 2
-    except RecursionError:
-        _emit(err, "error: input nests too deeply")
-        return 2
     finally:
         polyalg.stats_stream = None
 

@@ -172,6 +172,69 @@ def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Operator-precedence reader
+# ---------------------------------------------------------------------------
+
+
+def to_postfix(
+    tokens: Sequence[str], precedences: Mapping[str, int], error: type[ValueError]
+) -> list[str]:
+    """Reorder infix ``tokens`` into postfix with explicit stacks (shunting yard).
+
+    Tokens in ``precedences`` are left-associative binary operators, higher
+    binding tighter; ``+`` or ``-`` at the start of the text or of a group
+    is a prefix sign, written ``u+`` / ``u-`` in the output and binding as
+    its binary form.  ``( )`` groups, ``[x, y]`` comes out as ``x y []``,
+    and every other token is an operand.  Malformed input raises ``error``.
+    """
+    output: list[str] = []
+    pending: list[tuple[int, str]] = []  # operators and open groups; groups rank -1
+    openers = (None, "(", "[", ",")
+    previous = None
+    for token in tokens:
+        want_operand = previous in openers or previous in precedences
+        if token in ("(", "["):
+            if not want_operand:
+                raise error(f"unexpected {token!r} after an operand")
+            pending.append((-1, token))
+        elif token in (")", "]", ","):
+            if want_operand:
+                raise error(f"unexpected {token!r}")
+            while pending and pending[-1][0] >= 0:
+                output.append(pending.pop()[1])
+            opener = {")": "(", ",": "[", "]": ","}[token]
+            if not pending or pending.pop()[1] != opener:
+                raise error(f"unbalanced {token!r}")
+            if token == ",":
+                pending.append((-1, ","))
+            elif token == "]":
+                output.append("[]")
+        elif token in precedences:
+            rank = precedences[token]
+            if want_operand:
+                if token not in ("+", "-") or previous not in openers:
+                    raise error(f"unexpected {token!r}")
+                pending.append((rank, "u" + token))
+            else:
+                while pending and pending[-1][0] >= rank:
+                    output.append(pending.pop()[1])
+                pending.append((rank, token))
+        elif want_operand:
+            output.append(token)
+        else:
+            raise error(f"unexpected {token!r} after an operand")
+        previous = token
+    if previous in openers or previous in precedences:
+        raise error("unexpected end of input")
+    while pending:
+        rank, op = pending.pop()
+        if rank < 0:
+            raise error(f"unclosed {op!r}")
+        output.append(op)
+    return output
+
+
+# ---------------------------------------------------------------------------
 # JSON input files
 # ---------------------------------------------------------------------------
 
@@ -181,8 +244,8 @@ class JsonObject:
 
     Every fault is raised as the caller's ``error`` class with a one-line
     message naming the file or the key: a file that cannot be read, text
-    that is not JSON, a top level that is not an object, a missing key, or
-    a field of the wrong type.
+    that is not JSON or nests past the recursion limit, a top level that
+    is not an object, a missing key, or a field of the wrong type.
     """
 
     def __init__(self, source, kind: str, error: type[ValueError]) -> None:
@@ -199,6 +262,8 @@ class JsonObject:
             self.data = json.loads(text)
         except json.JSONDecodeError as err:
             raise error(f"{source}: line {err.lineno} column {err.colno}: {err.msg}")
+        except RecursionError:
+            raise error(f"{source}: JSON nests too deeply")
         if not isinstance(self.data, dict):
             raise self.fail("expected an object")
 
@@ -485,25 +550,28 @@ def enumerate_homs(
         by_depth[depth].append(relator)
 
     results: list[tuple[int, ...]] = []
-    images: list[int] = []
-
-    def extend(depth: int) -> None:
-        if depth == n:
-            results.append(tuple(images))
-            return
-        for candidate in range(target.order):
-            images.append(candidate)
-            ok = all(
-                evaluate_word(r, images + [0] * (n - depth - 1), target)
-                == target.identity
-                for r in by_depth[depth + 1]
-            )
-            if ok:
-                extend(depth + 1)
-            images.pop()
-
-    if all(
+    if not all(
         evaluate_word(r, [0] * n, target) == target.identity for r in by_depth[0]
     ):
-        extend(0)
-    return results
+        return results
+    images: list[int] = []
+    candidate = 0
+    while True:
+        if len(images) == n:
+            results.append(tuple(images))
+            candidate = target.order
+        if candidate == target.order:
+            if not images:
+                return results
+            candidate = images.pop() + 1
+            continue
+        images.append(candidate)
+        depth = len(images)
+        if all(
+            evaluate_word(r, images + [0] * (n - depth), target) == target.identity
+            for r in by_depth[depth]
+        ):
+            candidate = 0
+        else:
+            images.pop()
+            candidate += 1

@@ -642,7 +642,10 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
         kind, value, column = peek()
         if kind == "number":
             cursor += 1
-            return Fraction(value), {}
+            try:
+                return Fraction(value), {}
+            except ZeroDivisionError:
+                raise PolynomialParseError(f"zero denominator in {value!r}", column)
         if kind == "name":
             cursor += 1
             if value not in index:

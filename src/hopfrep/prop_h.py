@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .groups import FiniteGroup, FreeWord, evaluate_word, format_word
+from .groups import FiniteGroup, FreeWord, evaluate_word, format_word, to_postfix
 
 
 class ArityError(ValueError):
@@ -176,22 +176,28 @@ def eval_term(term: GeneratorTerm) -> HMorphism:
     """Normalize a formal composite to its free-group-tuple morphism.
 
     Two terms equal modulo the Hopf relations evaluate to the same
-    HMorphism; ill-typed terms raise ArityError.
+    HMorphism; ill-typed terms raise ArityError.  The walk keeps its own
+    stack, so the depth of a term is bounded only by memory.
     """
-    term.arity()  # typecheck eagerly for a clean error
-    return _eval(term)
-
-
-def _eval(term: GeneratorTerm) -> HMorphism:
-    if isinstance(term, Gen):
-        return generator_morphism(term.name)
-    if isinstance(term, Id):
-        return identity_morphism(term.width)
-    if isinstance(term, Compose):
-        return compose_h(_eval(term.inner), _eval(term.outer))
-    if isinstance(term, Tensor):
-        return tensor_h(_eval(term.left), _eval(term.right))
-    raise TypeError(f"not a generator term: {term!r}")
+    pending: list = [term]
+    values: list[HMorphism] = []
+    while pending:
+        node = pending.pop()
+        kind = type(node)
+        if kind is Compose:
+            pending += (compose_h, node.outer, node.inner)
+        elif kind is Tensor:
+            pending += (tensor_h, node.right, node.left)
+        elif kind is Gen:
+            values.append(generator_morphism(node.name))
+        elif kind is Id:
+            values.append(identity_morphism(node.width))
+        elif node is compose_h or node is tensor_h:
+            second = values.pop()
+            values[-1] = node(values[-1], second)
+        else:
+            raise TypeError(f"not a generator term: {node!r}")
+    return values[0]
 
 
 _TERM_TOKEN = re.compile(r"\s*(?P<tok>id:\d+|[A-Za-z]+|[.*()])")
@@ -203,15 +209,16 @@ _TERM_LEAVES = {
     "eps": "epsilon",
     "tau": "tau",
 }
+_TERM_PRECEDENCES = {".": 1, "*": 2}
 
 
 def parse_term(text: str) -> GeneratorTerm:
     """Parse the generator-term syntax.
 
     ``.`` is composition (right factor acts first), ``*`` is the tensor
-    product and binds tighter; leaves are ``mu``, ``delta``, ``S``,
-    ``eta``, ``eps``, ``tau`` and ``id:<k>``.  Example:
-    ``mu . (id:1 * S) . delta``.
+    product and binds tighter; both associate to the left.  Leaves are
+    ``mu``, ``delta``, ``S``, ``eta``, ``eps``, ``tau`` and ``id:<k>``.
+    Example: ``mu . (id:1 * S) . delta``.
     """
     tokens: list[str] = []
     pos = 0
@@ -223,56 +230,18 @@ def parse_term(text: str) -> GeneratorTerm:
             raise TermSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}")
         tokens.append(match.group("tok"))
         pos = match.end()
-    cursor = 0
-
-    def peek() -> str | None:
-        return tokens[cursor] if cursor < len(tokens) else None
-
-    def expect(token: str) -> None:
-        nonlocal cursor
-        if peek() != token:
-            raise TermSyntaxError(f"expected {token!r}, got {peek()!r}")
-        cursor += 1
-
-    def parse_atom() -> GeneratorTerm:
-        nonlocal cursor
-        token = peek()
-        if token is None:
-            raise TermSyntaxError("unexpected end of term")
-        if token == "(":
-            cursor += 1
-            node = parse_compose()
-            expect(")")
-            return node
-        cursor += 1
-        if token.startswith("id:"):
-            return Id(int(token.split(":", 1)[1]))
-        if token in _TERM_LEAVES:
-            return Gen(_TERM_LEAVES[token])
-        raise TermSyntaxError(f"unknown symbol {token!r}")
-
-    def parse_tensor() -> GeneratorTerm:
-        nonlocal cursor
-        node = parse_atom()
-        while peek() == "*":
-            cursor += 1
-            node = Tensor(node, parse_atom())
-        return node
-
-    def parse_compose() -> GeneratorTerm:
-        nonlocal cursor
-        node = parse_tensor()
-        while peek() == ".":
-            cursor += 1
-            node = Compose(node, parse_tensor())
-        return node
-
-    if not tokens:
-        raise TermSyntaxError("empty term")
-    term = parse_compose()
-    if cursor != len(tokens):
-        raise TermSyntaxError(f"trailing input starting at {tokens[cursor]!r}")
-    return term
+    stack: list[GeneratorTerm] = []
+    for token in to_postfix(tokens, _TERM_PRECEDENCES, TermSyntaxError):
+        if token in _TERM_PRECEDENCES:
+            right = stack.pop()
+            stack[-1] = Compose(stack[-1], right) if token == "." else Tensor(stack[-1], right)
+        elif token.startswith("id:"):
+            stack.append(Id(int(token[3:])))
+        elif token in _TERM_LEAVES:
+            stack.append(Gen(_TERM_LEAVES[token]))
+        else:
+            raise TermSyntaxError(f"unknown symbol {token!r}")
+    return stack[0]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .alggroups import (
     LieAlgebraData,
@@ -31,20 +31,8 @@ from .alggroups import (
     matrix_word,
     trace_of_word,
 )
-from .groups import (
-    FiniteGroup,
-    FreeWord,
-    GroupPresentation,
-    WordError,
-    enumerate_homs,
-    evaluate_word,
-)
+from .groups import FiniteGroup, FreeWord, GroupPresentation, WordError, enumerate_homs
 from .polyalg import GREVLEX, Ideal, Polynomial, Ring, embed, groebner, ideal_member
-from .prop_h import HMorphism
-
-
-class HomomorphismError(ValueError):
-    """A purported homomorphism fails a relator."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,80 +171,6 @@ def finite_rep_algebra(
     """Enumerate the representation set and wrap its function algebra."""
     points = tuple(enumerate_homs(source, target))
     return FiniteRepAlgebra(source=source, target=target, points=points)
-
-
-# ---------------------------------------------------------------------------
-# Natural families induced by group homomorphisms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NatTransform:
-    """The componentwise map of basis tuples induced by a homomorphism.
-
-    A homomorphism of the source group into a finite group sends a basis
-    tuple of source elements (given as words in the source generators) to
-    the tuple of its images.  Naturality against any morphism in word
-    normal form is checkable exactly, because both paths around the square
-    end in the finite group.
-    """
-
-    source: GroupPresentation
-    target: FiniteGroup
-    images: tuple[int, ...]
-    level: int
-
-    def apply(self, words: Sequence[FreeWord]) -> tuple[int, ...]:
-        if len(words) != self.level:
-            raise WordError(f"expected {self.level} words, got {len(words)}")
-        return tuple(
-            evaluate_word(w, list(self.images), self.target) for w in words
-        )
-
-    def naturality_holds(
-        self, f: HMorphism, samples: Sequence[Sequence[FreeWord]]
-    ) -> bool:
-        """Both paths around the square at ``f`` agree on all given tuples."""
-        if f.dom != self.level:
-            raise WordError(
-                f"morphism domain {f.dom} does not match level {self.level}"
-            )
-        n = self.source.n_generators
-        for sample in samples:
-            if len(sample) != self.level:
-                raise WordError("sample tuple has the wrong length")
-            substituted = [
-                w.substitute(list(sample), rank=n) for w in f.words
-            ]
-            via_source = tuple(
-                evaluate_word(w, list(self.images), self.target) for w in substituted
-            )
-            mapped = [evaluate_word(w, list(self.images), self.target) for w in sample]
-            via_target = tuple(
-                evaluate_word(w, mapped, self.target) for w in f.words
-            )
-            if via_source != via_target:
-                return False
-        return True
-
-
-def nat_transform_from_hom(
-    source: GroupPresentation,
-    target: FiniteGroup,
-    images: Sequence[int],
-    level: int,
-) -> NatTransform:
-    """Validate generator images against the relators and wrap the family."""
-    if len(images) != source.n_generators:
-        raise HomomorphismError(
-            f"need {source.n_generators} generator images, got {len(images)}"
-        )
-    for relator in source.relators:
-        if evaluate_word(relator, list(images), target) != target.identity:
-            raise HomomorphismError(
-                f"images fail relator {relator}"
-            )
-    return NatTransform(source, target, tuple(images), level)
 
 
 # ---------------------------------------------------------------------------

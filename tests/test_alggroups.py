@@ -349,10 +349,12 @@ def test_lie_expr_parsing_and_evaluation(sl2_lie):
     value = evaluate_lie_expr(expr, assignment, sl2_lie, ring)
     # [h,[h,e]] - 2e = [h, 2e] - 2e = 4e - 2e = 2e
     assert value == [one * 2, zero, zero]
-    with pytest.raises(LieParseError):
-        parse_lie_expr("[a,b", names)
-    with pytest.raises(LieParseError):
-        parse_lie_expr("q", names)
+    # a juxtaposed coefficient scales like ``*``: -3h + [e, -h] = -3h + 2e
+    expr = parse_lie_expr("-3 a + [b, -a]", names)
+    assert evaluate_lie_expr(expr, assignment, sl2_lie, ring) == [one * 2, zero, one * -3]
+    for bad in ("[a,b", "q", "3 ", "1/0 a", "(3)*a", "a * 2", "--a", "[a,b,a]"):
+        with pytest.raises(LieParseError):
+            parse_lie_expr(bad, names)
 
 
 def test_lie_presentation_json(tmp_path):

@@ -185,11 +185,59 @@ def test_missing_finite_table_key_is_named(tmp_path, z2_file):
     assert err == 'error: finite group JSON: missing key "table"\n'
 
 
-def test_deeply_nested_term_exits_two():
-    for term in (" . ".join(["id:1"] * 3000), "(" * 3000 + "id:1" + ")" * 3000):
-        code, out, err = invoke("normalize", "--term", term)
-        assert code == 2
-        assert err == "error: input nests too deeply\n"
+@pytest.mark.parametrize(
+    "term, expected",
+    [
+        (" . ".join(["id:1"] * 3000), "[1]->[1]: (x1)\n"),
+        ("(" * 3000 + "mu . tau" + ")" * 3000, "[2]->[1]: (x2 x1)\n"),
+    ],
+    ids=["chained", "parenthesized"],
+)
+def test_deep_terms_are_answered(term, expected):
+    assert invoke("normalize", "--term", term) == (0, expected, "")
+
+
+def _nested_brackets(depth):
+    relator = "b"
+    for _ in range(depth):
+        relator = f"[a,{relator}]"
+    return relator
+
+
+@pytest.mark.parametrize(
+    "relator, target, last",
+    [
+        (_nested_brackets(3000), "abelian:2", "g1 [relator:0:component:2]: 0"),
+        (
+            "(" * 3000 + "[a,b] - 2*[b,a]" + ")" * 3000,
+            "sl2",
+            "g2 [relator:0:component:3]: -3*y1_2*y2_1 + 3*y1_1*y2_2",
+        ),
+    ],
+    ids=["brackets", "parenthesized"],
+)
+def test_deep_lie_relators_are_answered(tmp_path, relator, target, last):
+    path = tmp_path / "deep_lie.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": [relator]}))
+    code, out, err = invoke("lie-rep-ideal", "--source", str(path), "--target", target)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == last
+
+
+def test_rep_count_on_many_generators_is_answered(tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"generators": [f"x{i}" for i in range(3000)]}))
+    code, out, err = invoke("rep-count", "--group", str(path), "--finite", "cyclic:1")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["1", " ".join(f"x{i}=g^0" for i in range(3000))]
+
+
+def test_deeply_nested_json_exits_two_with_one_line(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = invoke("rep-count", "--group", str(path), "--finite", "cyclic:1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: JSON nests too deeply\n"
 
 
 def test_missing_group_json_entry_is_named(tmp_path, z2_file):
@@ -501,3 +549,12 @@ def test_typed_option_payloads_are_valid(tmp_path, z2_file, abelian_lie_file, op
     before = [a.format(z2=z2_file, ab2=abelian_lie_file) for a in before]
     code, out, err = invoke(*before, str(path))
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("variables", [["z", "z"], ["z", "t", "z"]])
+def test_repeated_target_variable_is_named(tmp_path, z2_file, variables):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(dict(TORUS_JSON, variables=variables)))
+    code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == """error: group JSON: "variables" repeats 'z'\n"""

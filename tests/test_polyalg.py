@@ -389,3 +389,5 @@ def test_parse_errors_carry_column():
         P("x ^ y")  # non-integer exponent
     with pytest.raises(PolynomialParseError):
         P("")
+    with pytest.raises(PolynomialParseError):
+        P("1/0*x")

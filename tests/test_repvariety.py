@@ -18,14 +18,11 @@ from hopfrep.groups import (
     symmetric_group,
 )
 from hopfrep.polyalg import Polynomial, groebner, ideal_member
-from hopfrep.prop_h import generator_morphism
 from hopfrep.repvariety import (
-    HomomorphismError,
     check_observable_invariance,
     check_trace_invariance,
     finite_rep_algebra,
     lie_rep_ideal,
-    nat_transform_from_hom,
     rep_ideal,
 )
 
@@ -209,57 +206,6 @@ def test_algebra_rejects_foreign_points(s3):
         algebra.delta((3,))  # element of order 3 is not a Z/2 image
     with pytest.raises(ValueError):
         algebra.mul({(3,): Fraction(1)}, algebra.one())
-
-
-# -- natural families -------------------------------------------------------------
-
-
-def test_nat_transform_identity_hom(s3):
-    z = GroupPresentation.free(1)
-    words = [(FreeWord.generator(1, 1, k),) for k in range(-3, 4)]
-    for image in range(s3.order):
-        nt = nat_transform_from_hom(z, s3, [image], 1)
-        assert nt.naturality_holds(generator_morphism("delta"), words)
-        assert nt.naturality_holds(generator_morphism("antipode"), words)
-        assert nt.naturality_holds(generator_morphism("epsilon"), words)
-
-
-def test_nat_transform_sign_hom(s3):
-    z = GroupPresentation.free(1)
-    swap = s3.names.index("(1 2)")
-    nt = nat_transform_from_hom(z, s3, [swap], 1)
-    w = (FreeWord.generator(1, 1, 5),)
-    assert nt.apply(w) == (swap,)  # (1 2)^5 = (1 2)
-    assert nt.naturality_holds(generator_morphism("delta"), [w])
-
-
-def test_nat_transform_level_two(s3):
-    rng = random.Random(13)
-    nt = nat_transform_from_hom(F2, s3, [1, 4], 2)
-    samples = []
-    for _ in range(12):
-        samples.append(
-            tuple(
-                FreeWord(
-                    2,
-                    tuple(
-                        (rng.randint(1, 2), rng.choice((1, -1)))
-                        for _ in range(rng.randint(0, 5))
-                    ),
-                )
-                for _ in range(2)
-            )
-        )
-    for name in ("mu", "tau", "delta"):
-        morphism = generator_morphism(name)
-        if morphism.dom == 2:
-            assert nt.naturality_holds(morphism, samples)
-
-
-def test_nat_transform_rejects_non_homomorphism(s3):
-    three_cycle = s3.names.index("(0 1 2)")
-    with pytest.raises(HomomorphismError):
-        nat_transform_from_hom(Z2, s3, [three_cycle], 1)
 
 
 # -- Lie representation ideals -----------------------------------------------------
