@@ -460,7 +460,7 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     texts = data.array("ideal") if "ideal" in data else ()
     ideal = Ideal(variables, tuple(parse_polynomial(s, variables) for s in texts))
     counit = _per_variable(data, "counit", variables, (int, float, str))
-    counit = tuple(Fraction(str(x)) for x in counit)
+    counit = tuple(data.rational("counit", x) for x in counit)
     comultiplication = tuple(
         parse_polynomial(s, doubled) for s in _per_variable(data, "delta", variables)
     )
@@ -608,7 +608,8 @@ def make_lie(spec) -> LieAlgebraData:
     if path.exists():
         data = JsonObject(path, "Lie", LieDataError)
         basis = data.array("basis") if "basis" in data else None
-        constants = data.array("constants", 3, (int, float, str), "numbers")
+        numbers = data.array("constants", 3, (int, float, str), "numbers")
+        constants = [[[data.rational("constants", x) for x in row] for row in p] for p in numbers]
         return lie_from_constants(constants, basis, str(data.get("name", "custom")))
     raise LieDataError(f"unknown Lie algebra spec {text!r}")
 

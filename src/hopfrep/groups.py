@@ -16,6 +16,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -251,6 +252,7 @@ class JsonObject:
     def __init__(self, source, kind: str, error: type[ValueError]) -> None:
         self.kind = kind
         self.error = error
+        self.origin = f"{kind} JSON" if isinstance(source, Mapping) else f"{kind} JSON {source}"
         if isinstance(source, Mapping):
             self.data = source
             return
@@ -280,6 +282,13 @@ class JsonObject:
 
     def get(self, key: str, default):
         return self.data.get(key, default)
+
+    def rational(self, key: str, value) -> Fraction:
+        """``value``, found under ``key``, as a rational: a number or a string like "-3/4"."""
+        try:
+            return Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise self.error(f'{self.origin}: "{key}" holds {value!r}, not a rational') from None
 
     def array(self, key: str, depth: int = 1, leaf=str, what: str = "strings") -> tuple:
         """The ``depth`` times nested list of ``leaf`` values under ``key``, which must exist."""

@@ -118,13 +118,9 @@ class Polynomial:
 
     @staticmethod
     def from_dict(ring: Ring, mapping: Mapping[Exponents, Fraction]) -> "Polynomial":
-        terms = tuple(
-            (exponents, _as_fraction(coeff))
-            for exponents, coeff in sorted(
-                mapping.items(), key=lambda item: _CANONICAL_KEY(item[0]), reverse=True
-            )
-            if coeff != 0
-        )
+        # Ascending heap-key order is descending grevlex, the canonical order.
+        items = sorted(mapping.items(), key=lambda item: _grevlex_heap_key(item[0]))
+        terms = tuple((e, _as_fraction(c)) for e, c in items if c != 0)
         return Polynomial(tuple(ring), terms)
 
     @staticmethod
@@ -230,32 +226,34 @@ class Polynomial:
         missing = [v for v in self.ring if v not in images]
         if missing:
             raise SubstitutionError(f"substitution missing variables {missing}")
-        extra = [v for v in images if v not in self.ring]
+        variables = set(self.ring)
+        extra = [v for v in images if v not in variables]
         if extra:
             raise SubstitutionError(f"substitution maps unknown variables {extra}")
-        target: Ring | None = None
-        for image in images.values():
-            if target is None:
-                target = image.ring
-            elif image.ring != target:
-                raise RingMismatchError("substitution images live in different rings")
-        assert target is not None
+        rings = {image.ring for image in images.values()}
+        if len(rings) != 1:
+            raise RingMismatchError("substitution images live in different rings")
+        (target,) = rings
         ordered = [images[v] for v in self.ring]
         if len(self.terms) == 1 and self.terms[0][1] == 1 and sum(self.terms[0][0]) == 1:
             # A bare variable maps to its image; sharing it avoids copying a
             # large image, as when matrix entries take a word's pullback.
             return ordered[self.terms[0][0].index(1)]
         factors: dict[tuple[int, int], tuple[tuple[Exponents, Fraction], ...]] = {}
-        unit = (0,) * len(target)
         acc: dict[Exponents, Fraction] = {}
         for exponents, coeff in self.terms:
-            term = {unit: coeff}.items()
+            term = None
             for position, power in enumerate(exponents):
                 if power:
                     if (position, power) not in factors:
                         image = ordered[position]
                         factors[(position, power)] = (image if power == 1 else image**power).terms
-                    term = _mul_terms(term, factors[(position, power)]).items()
+                    factor = factors[(position, power)]
+                    term = factor if term is None else _mul_terms(term, factor).items()
+            if term is None:
+                term = (((0,) * len(target), coeff),)
+            elif coeff != 1:
+                term = [(e, c * coeff) for e, c in term]
             _accumulate(acc, term)
         return Polynomial.from_dict(target, acc)
 
@@ -299,14 +297,21 @@ class Polynomial:
 
 def _mul_terms(left, right) -> dict[Exponents, Fraction]:
     """Product of two term sequences, as an uncanonicalized term dict."""
+    if len(left) > len(right):
+        left, right = right, left
     out: dict[Exponents, Fraction] = {}
     for e1, c1 in left:
-        _accumulate(out, ((tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in right))
+        negate = c1 == -1
+        scaled = right if c1 == 1 else [(e2, -c2 if negate else c1 * c2) for e2, c2 in right]
+        _accumulate(out, ((tuple(map(add, e1, e2)), c2) for e2, c2 in scaled))
     return out
 
 
 def _accumulate(acc: dict[Exponents, Fraction], terms) -> None:
-    """Add terms into ``acc`` in place (zero sums stay; ``from_dict`` drops them)."""
+    """Add terms with distinct monomials into ``acc``; zero sums stay, ``from_dict`` drops them."""
+    if not acc:
+        acc.update(terms)
+        return
     for key, value in terms:
         previous = acc.get(key)
         acc[key] = value if previous is None else previous + value
@@ -597,14 +602,16 @@ def format_polynomial(p: Polynomial) -> str:
             for name, power in zip(p.ring, exponents)
             if power
         ]
-        magnitude = abs(coeff)
-        if not factors or magnitude != 1:
-            factors.insert(0, str(magnitude))
+        text = str(coeff)
+        negative = text[0] == "-"
+        magnitude = text[1:] if negative else text
+        if not factors or magnitude != "1":
+            factors.insert(0, magnitude)
         body = "*".join(factors)
         if position == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
+            pieces.append(f"-{body}" if negative else body)
         else:
-            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            pieces.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(pieces)
 
 

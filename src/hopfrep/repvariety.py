@@ -91,7 +91,7 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
         size = len(matrix)
         for i in range(size):
             for j in range(size):
-                entry = matrix[i][j] - (1 if i == j else 0)
+                entry = matrix[i][j] - 1 if i == j else matrix[i][j]
                 generators.append(entry)
                 provenance.append(f"relator:{index}:entry:{i + 1},{j + 1}")
     return RepIdealPresentation(

@@ -420,6 +420,18 @@ def test_rep_ideal_text_output_is_pinned(z2_file):
     )
 
 
+def test_rep_ideal_with_inverse_letters_is_pinned(tmp_path):
+    # The expected text was printed by commit 65fece1, before the polynomial
+    # kernel skipped unit-coefficient products; inverse letters put the
+    # antipode's -1 coefficients through every product of the pullback.
+    path = tmp_path / "inverse.json"
+    path.write_text(json.dumps({"generators": ["a", "b"], "relators": ["a b^-1 a^-1"]}))
+    code, out, err = invoke("rep-ideal", "--group", str(path), "--target", "sl:3")
+    assert (code, err) == (0, "")
+    expected = Path(__file__).parent / "data" / "rep_ideal_inverse_letters_sl3.txt"
+    assert out == expected.read_text()
+
+
 def test_lie_rep_ideal_text_output_is_pinned(abelian_lie_file):
     code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", "sl2")
     assert (code, err) == (0, "")
@@ -558,3 +570,21 @@ def test_repeated_target_variable_is_named(tmp_path, z2_file, variables):
     code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", str(path))
     assert (code, out) == (2, "")
     assert err == """error: group JSON: "variables" repeats 'z'\n"""
+
+
+@pytest.mark.parametrize("literal", ["1/0", "abc"])
+def test_bad_counit_number_names_file_and_key(tmp_path, literal):
+    path = tmp_path / "counit.json"
+    path.write_text(json.dumps(dict(TORUS_JSON, counit={"z": literal, "w": "1"})))
+    code, out, err = invoke("cotangent", "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"""error: group JSON {path}: "counit" holds {literal!r}, not a rational\n"""
+
+
+@pytest.mark.parametrize("literal", ["1/0", "abc"])
+def test_bad_lie_constant_names_file_and_key(tmp_path, abelian_lie_file, literal):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"constants": [[[literal]]]}))
+    code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"""error: Lie JSON {path}: "constants" holds {literal!r}, not a rational\n"""

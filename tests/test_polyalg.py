@@ -86,12 +86,20 @@ def test_power_and_scalars():
 
 
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# Units are drawn often, because products and substitutions skip Fraction
+# work on them; these properties are the kernel's oracle apart from digests.
+_kernel_coeffs = st.one_of(st.sampled_from((Fraction(1), Fraction(-1))), _coeffs)
 _exponents = st.tuples(
     st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
 )
-_polys = st.dictionaries(_exponents, _coeffs, max_size=5).map(
+_polys = st.dictionaries(_exponents, _kernel_coeffs, max_size=5).map(
     lambda d: Polynomial.from_dict(RING, d)
 )
+_TARGET = ("s", "t")
+_image = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _kernel_coeffs, max_size=4
+).map(lambda d: Polynomial.from_dict(_TARGET, d))
+_images = st.fixed_dictionaries({v: _image for v in RING})
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,8 +107,26 @@ _polys = st.dictionaries(_exponents, _coeffs, max_size=5).map(
 def test_ring_laws(p, q, r):
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
+    assert p * q == q * p
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
+
+
+@settings(max_examples=40, deadline=None)
+@given(_polys, _images, st.tuples(_coeffs, _coeffs))
+def test_substitute_then_evaluate_is_evaluate_at_the_images(p, images, point):
+    at = dict(zip(_TARGET, point))
+    values = {v: image.evaluate(at) for v, image in images.items()}
+    assert p.substitute(images).evaluate(at) == p.evaluate(values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(_exponents, st.one_of(st.just(Fraction(0)), _kernel_coeffs), max_size=8))
+def test_from_dict_terms_strictly_descend_in_grevlex(mapping):
+    p = Polynomial.from_dict(RING, mapping)
+    keys = [monomial_key(GREVLEX)(e) for e, _ in p.terms]
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    assert dict(p.terms) == {e: c for e, c in mapping.items() if c}
 
 
 # -- Groebner bases ---------------------------------------------------------
