@@ -15,6 +15,7 @@ the concrete form of the iterated tensor power of the coordinate ring.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -487,6 +488,17 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     return group
 
 
+@functools.lru_cache(maxsize=None)
+def _shipped_group(text: str) -> PresentedCommHopf:
+    """A shipped group, built and validated once per spec text."""
+    if text.startswith("torus:"):
+        return _torus_group(int(text.split(":", 1)[1]))
+    if text == "ga":
+        return _additive_group()
+    kind, _, size = text.partition(":")
+    return _matrix_group(kind, int(size))
+
+
 def make_group(spec) -> PresentedCommHopf:
     """Build a presented group from a spec string.
 
@@ -496,13 +508,8 @@ def make_group(spec) -> PresentedCommHopf:
     if isinstance(spec, PresentedCommHopf):
         return spec
     text = str(spec)
-    if text.startswith("gl:") or text.startswith("sl:"):
-        kind, _, size = text.partition(":")
-        return _matrix_group(kind, int(size))
-    if text.startswith("torus:"):
-        return _torus_group(int(text.split(":", 1)[1]))
-    if text == "ga":
-        return _additive_group()
+    if text.startswith(("gl:", "sl:", "torus:")) or text == "ga":
+        return _shipped_group(text)
     path = Path(text)
     if not path.exists():
         raise GroupDataError(f"unknown group spec {text!r}")

@@ -11,6 +11,7 @@ a reader that closes stdout early ends the command quietly with 141.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -28,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hopfrep", description=__doc__)
     parser.add_argument("--format", choices=("text", "json"), default="text")

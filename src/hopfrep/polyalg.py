@@ -1,7 +1,8 @@
 """Exact polynomial and linear-algebra kernel over the rationals.
 
-Sparse multivariate polynomials with arbitrary-precision ``Fraction``
-coefficients, reduced Groebner bases computed by Buchberger's algorithm
+Sparse multivariate polynomials with exact rational coefficients (an
+``int`` for an integer value, a ``Fraction`` only where there is a
+denominator), reduced Groebner bases computed by Buchberger's algorithm
 (product and chain criteria, full auto-reduction, monic output), ideal
 membership via normal forms, and exact right-kernel computation.
 
@@ -24,6 +25,7 @@ from typing import IO, Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 Ring = tuple[str, ...]
+Coefficient = int | Fraction
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -85,11 +87,15 @@ def _lex_heap_key(e: Exponents) -> tuple:
 _HEAP_KEYS = {GREVLEX: _grevlex_heap_key, LEX: _lex_heap_key}
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> Coefficient:
+    """``value`` as a coefficient: an ``int`` if it is an integer, else a ``Fraction``.
+
+    Anything but an ``int`` or a ``Fraction``, a float or a bool say, is a TypeError.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if type(value) is Fraction:
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
@@ -98,29 +104,32 @@ class Polynomial:
     """A sparse multivariate polynomial with exact rational coefficients.
 
     ``terms`` is the canonical form: no zero coefficients, no duplicate
-    exponent tuples, sorted in descending grevlex order.  Use the
-    factory methods (or the arithmetic operators) rather than building
-    terms by hand.
+    exponent tuples, sorted in descending grevlex order; a coefficient is
+    an ``int`` when its value is an integer and a ``Fraction`` otherwise.
+    Use the factory methods (or the arithmetic operators) rather than
+    building terms by hand.
     """
 
     ring: Ring
-    terms: tuple[tuple[Exponents, Fraction], ...]
+    terms: tuple[tuple[Exponents, Coefficient], ...]
 
     def __post_init__(self) -> None:
         width = len(self.ring)
         for exponents, coeff in self.terms:
             if len(exponents) != width:
                 raise ValueError("exponent tuple length does not match ring")
+            if type(coeff) is not int and type(coeff) is not Fraction:
+                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
             if coeff == 0:
                 raise ValueError("zero coefficient stored in polynomial")
 
     # -- construction -------------------------------------------------
 
     @staticmethod
-    def from_dict(ring: Ring, mapping: Mapping[Exponents, Fraction]) -> "Polynomial":
+    def from_dict(ring: Ring, mapping: Mapping[Exponents, Coefficient]) -> "Polynomial":
         # Ascending heap-key order is descending grevlex, the canonical order.
         items = sorted(mapping.items(), key=lambda item: _grevlex_heap_key(item[0]))
-        terms = tuple((e, _as_fraction(c)) for e, c in items if c != 0)
+        terms = tuple((e, _exact(c)) for e, c in items if c)
         return Polynomial(tuple(ring), terms)
 
     @staticmethod
@@ -129,7 +138,7 @@ class Polynomial:
 
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
-        value = _as_fraction(value)
+        value = _exact(value)
         if value == 0:
             return Polynomial.zero(ring)
         return Polynomial(tuple(ring), (((0,) * len(ring), value),))
@@ -146,7 +155,7 @@ class Polynomial:
         except ValueError:
             raise RingMismatchError(f"variable {name!r} is not in the ring") from None
         exponents = tuple(1 if i == index else 0 for i in range(len(ring)))
-        return Polynomial(ring, ((exponents, Fraction(1)),))
+        return Polynomial(ring, ((exponents, 1),))
 
     # -- basic queries ------------------------------------------------
 
@@ -192,10 +201,10 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            value = _as_fraction(other)
+            value = _exact(other)
             if value == 0:
                 return Polynomial.zero(self.ring)
-            return Polynomial(self.ring, tuple((e, c * value) for e, c in self.terms))
+            return Polynomial(self.ring, tuple((e, _exact(c * value)) for e, c in self.terms))
         other = self._coerce(other)
         return Polynomial.from_dict(self.ring, _mul_terms(self.terms, other.terms))
 
@@ -239,8 +248,8 @@ class Polynomial:
             # A bare variable maps to its image; sharing it avoids copying a
             # large image, as when matrix entries take a word's pullback.
             return ordered[self.terms[0][0].index(1)]
-        factors: dict[tuple[int, int], tuple[tuple[Exponents, Fraction], ...]] = {}
-        acc: dict[Exponents, Fraction] = {}
+        factors: dict[tuple[int, int], tuple[tuple[Exponents, Coefficient], ...]] = {}
+        acc: dict[Exponents, Coefficient] = {}
         for exponents, coeff in self.terms:
             term = None
             for position, power in enumerate(exponents):
@@ -262,7 +271,7 @@ class Polynomial:
         missing = [v for v in self.ring if v not in point]
         if missing:
             raise SubstitutionError(f"evaluation point missing variables {missing}")
-        values = [_as_fraction(point[v]) for v in self.ring]
+        values = [_exact(point[v]) for v in self.ring]
         total = Fraction(0)
         for exponents, coeff in self.terms:
             term = coeff
@@ -283,23 +292,23 @@ class Polynomial:
             except ValueError:
                 raise RingMismatchError(f"variable {name!r} is not in the target ring") from None
         width = len(ring)
-        acc: dict[Exponents, Fraction] = {}
+        acc: dict[Exponents, Coefficient] = {}
         for exponents, coeff in self.terms:
             new = [0] * width
             for position, power in zip(positions, exponents):
                 new[position] += power
-            acc[tuple(new)] = acc.get(tuple(new), Fraction(0)) + coeff
+            acc[tuple(new)] = acc.get(tuple(new), 0) + coeff
         return Polynomial.from_dict(ring, acc)
 
     def __str__(self) -> str:
         return format_polynomial(self)
 
 
-def _mul_terms(left, right) -> dict[Exponents, Fraction]:
+def _mul_terms(left, right) -> dict[Exponents, Coefficient]:
     """Product of two term sequences, as an uncanonicalized term dict."""
     if len(left) > len(right):
         left, right = right, left
-    out: dict[Exponents, Fraction] = {}
+    out: dict[Exponents, Coefficient] = {}
     for e1, c1 in left:
         negate = c1 == -1
         scaled = right if c1 == 1 else [(e2, -c2 if negate else c1 * c2) for e2, c2 in right]
@@ -307,7 +316,7 @@ def _mul_terms(left, right) -> dict[Exponents, Fraction]:
     return out
 
 
-def _accumulate(acc: dict[Exponents, Fraction], terms) -> None:
+def _accumulate(acc: dict[Exponents, Coefficient], terms) -> None:
     """Add terms with distinct monomials into ``acc``; zero sums stay, ``from_dict`` drops them."""
     if not acc:
         acc.update(terms)
@@ -352,7 +361,7 @@ class GroebnerBasis:
         return self.ideal.ring
 
 
-def _leading(p: Polynomial, key) -> tuple[Exponents, Fraction]:
+def _leading(p: Polynomial, key) -> tuple[Exponents, Coefficient]:
     if key is _CANONICAL_KEY:
         return p.terms[0]
     return max(p.terms, key=lambda term: key(term[0]))
@@ -360,7 +369,7 @@ def _leading(p: Polynomial, key) -> tuple[Exponents, Fraction]:
 
 def _monic(p: Polynomial, key) -> Polynomial:
     lc = _leading(p, key)[1]
-    return p if lc == 1 else p * (1 / lc)
+    return p if lc == 1 else p * Fraction(1, lc)
 
 
 def _divides(a: Exponents, b: Exponents) -> bool:
@@ -402,7 +411,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
     # popped, and one that cancels and re-enters needs no second push.
     pending = [(heap_key(e), e) for e in work]
     heapify(pending)
-    remainder: dict[Exponents, Fraction] = {}
+    remainder: dict[Exponents, Coefficient] = {}
     while pending:
         exponents = heappop(pending)[1]
         coeff = work.pop(exponents)
@@ -412,7 +421,7 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
         for lm, mask, lc, tail in divisors.values():
             if not mask & absent and _divides(lm, exponents):
                 shift = tuple(map(sub, exponents, lm))
-                factor = coeff / lc
+                factor = coeff if lc == 1 else Fraction(coeff, lc)
                 for te, tc in tail:
                     moved = tuple(map(add, te, shift))
                     previous = work.get(moved)
@@ -428,10 +437,11 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
 
 
 def _s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    (lf, cf), (lg, cg) = _leading(f, key), _leading(g, key)
+    """S-polynomial of two monic polynomials, as `groebner` keeps its basis."""
+    lf, lg = _leading(f, key)[0], _leading(g, key)[0]
     lcm = _lcm(lf, lg)
-    mono_f = Polynomial(f.ring, ((tuple(map(sub, lcm, lf)), 1 / cf),))
-    mono_g = Polynomial(g.ring, ((tuple(map(sub, lcm, lg)), 1 / cg),))
+    mono_f = Polynomial(f.ring, ((tuple(map(sub, lcm, lf)), 1),))
+    mono_g = Polynomial(g.ring, ((tuple(map(sub, lcm, lg)), 1),))
     return mono_f * f - mono_g * g
 
 
@@ -542,7 +552,7 @@ def linear_kernel(rows: Sequence[Sequence], width: int | None = None) -> list[li
     are indexed by the free columns in increasing order, each with a 1 in
     its free coordinate; the kernel dimension is the length of the result.
     """
-    matrix = [[_as_fraction(x) for x in row] for row in rows]
+    matrix = [[Fraction(_exact(x)) for x in row] for row in rows]
     if matrix:
         widths = {len(row) for row in matrix}
         if len(widths) != 1:
@@ -638,19 +648,19 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
         tokens.append((kind, match.group(kind), match.start(kind) + 1))
         pos = match.end()
 
-    result: dict[Exponents, Fraction] = {}
+    result: dict[Exponents, Coefficient] = {}
     cursor = 0
 
     def peek():
         return tokens[cursor] if cursor < len(tokens) else (None, None, len(text) + 1)
 
-    def parse_factor() -> tuple[Fraction, dict[int, int]]:
+    def parse_factor() -> tuple[Coefficient, dict[int, int]]:
         nonlocal cursor
         kind, value, column = peek()
         if kind == "number":
             cursor += 1
             try:
-                return Fraction(value), {}
+                return (Fraction(value) if "/" in value else int(value)), {}
             except ZeroDivisionError:
                 raise PolynomialParseError(f"zero denominator in {value!r}", column)
         if kind == "name":
@@ -666,10 +676,10 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
                     raise PolynomialParseError("expected integer exponent after '^'", column3)
                 cursor += 1
                 power = int(value3)
-            return Fraction(1), {index[value]: power}
+            return 1, {index[value]: power}
         raise PolynomialParseError("expected a coefficient or variable", column)
 
-    def parse_term() -> tuple[Fraction, Exponents]:
+    def parse_term() -> tuple[Coefficient, Exponents]:
         nonlocal cursor
         coeff, powers = parse_factor()
         exponents = [0] * len(ring)
@@ -689,21 +699,21 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
     if not tokens:
         raise PolynomialParseError("empty polynomial", 1)
-    sign = Fraction(1)
+    sign = 1
     kind, value, _ = peek()
     if kind == "op" and value in "+-":
         cursor += 1
-        sign = Fraction(-1) if value == "-" else Fraction(1)
+        sign = -1 if value == "-" else 1
     while True:
         coeff, exponents = parse_term()
         coeff *= sign
-        result[exponents] = result.get(exponents, Fraction(0)) + coeff
+        result[exponents] = result.get(exponents, 0) + coeff
         kind, value, column = peek()
         if kind is None:
             break
         if kind == "op" and value in "+-":
             cursor += 1
-            sign = Fraction(-1) if value == "-" else Fraction(1)
+            sign = -1 if value == "-" else 1
             continue
         raise PolynomialParseError(f"expected '+' or '-', got {value!r}", column)
     return Polynomial.from_dict(ring, result)

@@ -456,6 +456,7 @@ def test_verbose_prints_groebner_stats_and_keeps_stdout(z2_file):
     ):
         code, out, err = invoke(*argv)
         assert err == ""
+        alggroups._shipped_group.cache_clear()
         loud_code, loud_out, loud_err = invoke("--verbose", *argv)
         assert (loud_code, loud_out) == (code, out)
         first, *lines = loud_err.splitlines()
@@ -465,6 +466,8 @@ def test_verbose_prints_groebner_stats_and_keeps_stdout(z2_file):
         for line in lines:
             assert line.startswith("groebner grevlex, ")
             assert [pair.split("=")[0] for pair in line.split(": ")[1].split()] == keys
+        # The validated target is reused, so a repeated call prints only the command's basis.
+        assert invoke("--verbose", *argv)[2].splitlines() == [first, lines[-1]]
     ideal = repvariety.rep_ideal(
         groups.GroupPresentation.from_json(z2_file), alggroups.make_group("sl:2")
     ).ideal

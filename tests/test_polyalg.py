@@ -129,6 +129,54 @@ def test_from_dict_terms_strictly_descend_in_grevlex(mapping):
     assert dict(p.terms) == {e: c for e, c in mapping.items() if c}
 
 
+# -- coefficient types ------------------------------------------------------
+#
+# An integer value is stored as an int and any other as a Fraction; a float,
+# a bool or an integral Fraction never reaches a polynomial.
+
+_mixed_coeffs = st.one_of(st.integers(-3, 3), _coeffs)
+_LOW_DEGREE = [e for e in itertools.product(range(3), repeat=3) if sum(e) <= 2]
+_mixed_polys = st.dictionaries(st.sampled_from(_LOW_DEGREE), _mixed_coeffs, max_size=4).map(
+    lambda d: Polynomial.from_dict(RING, d)
+)
+
+
+def _assert_canonical_coefficients(p):
+    for _, c in p.terms:
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), p.terms
+
+
+@settings(max_examples=40, deadline=None)
+@given(_mixed_polys, _mixed_polys, _mixed_coeffs, _images)
+def test_every_coefficient_is_an_int_or_a_non_integral_fraction(p, q, scalar, images):
+    results = [p, p + q, p - q, p - scalar, p * q, p * scalar, scalar * p, p**3]
+    results += [p.substitute(images), p.rename(("u", "v"), {"x": "u", "y": "v", "z": "u"})]
+    results += [normal_form(p, [q, p - q], order) for order in (GREVLEX, LEX)]
+    results += groebner(Ideal(RING, (p, q))).basis
+    for result in results:
+        _assert_canonical_coefficients(result)
+
+
+def test_inexact_coefficients_are_rejected():
+    for bad in (0.5, 1.0, True):
+        with pytest.raises(TypeError):
+            Polynomial(RING, (((1, 0, 0), bad),))
+        with pytest.raises(TypeError):
+            Polynomial.from_dict(RING, {(1, 0, 0): bad})
+        with pytest.raises(TypeError):
+            X * bad
+
+
+def test_division_by_an_integer_leading_coefficient_is_exact():
+    assert str(normal_form(X, [2 * X + 1])) == "-1/2"
+    assert [str(g) for g in groebner(Ideal(RING, (2 * X + 1,))).basis] == ["x + 1/2"]
+    kernel = linear_kernel([[2, 1]])
+    assert kernel == [[Fraction(-1, 2), 1]]
+    assert all(type(x) is Fraction for x in kernel[0])
+    assert P("3*x + 1/2").terms == (((1, 0, 0), 3), ((0, 0, 0), Fraction(1, 2)))
+    assert type(P("3*x").terms[0][1]) is int
+
+
 # -- Groebner bases ---------------------------------------------------------
 
 
@@ -213,7 +261,7 @@ def _remainder(poly, divisors, key):
         for d in divisors:
             lm = _lead(d, key)
             if all(a <= b for a, b in zip(lm, m)):
-                factor = c / d[lm]
+                factor = Fraction(c) / d[lm]
                 for e, v in d.items():
                     if e != lm:
                         t = tuple(x + y - z for x, y, z in zip(e, m, lm))
