@@ -29,6 +29,7 @@ from .polyalg import (
     Ideal,
     Polynomial,
     Ring,
+    fold_substitute,
     groebner,
     ideal_member,
     linear_kernel,
@@ -120,12 +121,12 @@ def pullback(
     Letter ``i`` is the point of copy ``copy_base + i - 1``.  The value is
     folded through the comultiplication: the primed variables take the
     prefix's values and the double-primed ones the letter's block, which for
-    an inverse letter is the antipode renamed into that copy.  The empty
-    word gives the counit.
+    an inverse letter is the antipode renamed into that copy
+    (`fold_substitute`, packed from the first letter to the last).  The
+    empty word gives the counit.
     """
     if ring is None:
         ring = block_ring(group, [copy_base + i for i in range(word.rank)])
-    values = [Polynomial.constant(ring, e) for e in group.counit]
     blocks: dict[tuple[int, int], list[Polynomial]] = {}
     for letter in word.letters:
         if letter not in blocks:
@@ -135,9 +136,13 @@ def pullback(
                 blocks[letter] = [Polynomial.variable(ring, mapping[v]) for v in group.variables]
             else:
                 blocks[letter] = [s.rename(ring, mapping) for s in group.antipode]
-        images = dict(zip(group.doubled_ring, values + blocks[letter]))
-        values = [delta.substitute(images) for delta in group.comultiplication]
-    return tuple(values)
+    position = {letter: i for i, letter in enumerate(blocks)}
+    return fold_substitute(
+        group.comultiplication,
+        [Polynomial.constant(ring, e) for e in group.counit],
+        list(blocks.values()),
+        [position[letter] for letter in word.letters],
+    )
 
 
 def matrix_word(

@@ -12,6 +12,7 @@ first, so permutations compose as ``(g*h)(i) = h(g(i))``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
@@ -482,8 +483,9 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
 
 
 def cyclic_group(k: int) -> FiniteGroup:
-    if k < 1:
-        raise GroupTableError("cyclic group order must be at least 1")
+    """Z/k with elements ``g^i``, 1 <= k <= 720 (the order of S_6): the table has k² entries."""
+    if not 1 <= k <= 720:
+        raise GroupTableError("cyclic group supported for 1 <= k <= 720")
     table = [[(a + b) % k for b in range(k)] for a in range(k)]
     return FiniteGroup.from_table(table, [f"g^{i}" for i in range(k)])
 
@@ -501,19 +503,25 @@ def symmetric_group(k: int) -> FiniteGroup:
     return FiniteGroup.from_table(table, [_cycle_notation(p) for p in elements])
 
 
+@functools.lru_cache(maxsize=None)
+def _shipped_finite_group(text: str) -> FiniteGroup:
+    """A shipped finite group, built and validated once per spec text."""
+    kind, _, k = text.partition(":")
+    return (cyclic_group if kind == "cyclic" else symmetric_group)(int(k))
+
+
 def make_finite_group(spec) -> FiniteGroup:
     """Build a finite group from a spec string or an explicit-table JSON file.
 
-    Accepted forms: ``cyclic:k``, ``sym:k``, or a path to JSON
-    ``{"table": [[...]], "names": [...]}``.
+    Accepted forms: ``cyclic:k`` (k <= 720), ``sym:k`` (k <= 6), or a path
+    to JSON ``{"table": [[...]], "names": [...]}``.  A shipped group is
+    built and validated once per process; a JSON file is read on every call.
     """
     if isinstance(spec, FiniteGroup):
         return spec
     text = str(spec)
-    if text.startswith("cyclic:"):
-        return cyclic_group(int(text.split(":", 1)[1]))
-    if text.startswith("sym:"):
-        return symmetric_group(int(text.split(":", 1)[1]))
+    if text.startswith(("cyclic:", "sym:")):
+        return _shipped_finite_group(text)
     path = Path(text)
     if not path.exists():
         raise GroupTableError(f"unknown finite group spec {text!r}")

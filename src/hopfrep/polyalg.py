@@ -11,16 +11,31 @@ identical inputs, including the variable order of the ring, produce
 bit-identical results and printed output.  A ring is simply a tuple of
 variable names; the position in the tuple fixes the variable order used
 by every monomial order.
+
+Substitution packs monomials (Monagan and Pearce, CASC 2007): in an
+n-variable ring a monomial e becomes the integer
+``(deg e << 8wn) - sum(e[i] << 8w*i)``, n fields of w bytes under the
+total degree.  While every exponent stays below ``2**8w`` the product of
+two monomials is the sum of their integers, and descending integer order
+is descending grevlex, so a result is one plain sort of integers.  The
+field width w is 1, 2, 4 or 8 bytes, the smallest that holds a degree
+bound on every monomial the computation can form: for `substitute`, the
+largest ``sum(e[i] * deg(image[i]))`` over its terms; for
+`fold_substitute`, that bound at every step of the fold, not only the
+last, since a map need not raise degree monotonically.  Products and
+powers in ``*`` and ``**`` keep exponent tuples.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add, le, sub
+from operator import add, le, mul, sub
 from typing import IO, Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -164,9 +179,8 @@ class Polynomial:
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
+        # Grevlex compares total degree first, so the leading term has the largest.
+        return sum(self.terms[0][0]) if self.terms else -1
 
     def _check_same_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -183,17 +197,35 @@ class Polynomial:
         return Polynomial.constant(self.ring, other)
 
     def __add__(self, other) -> "Polynomial":
-        other = self._coerce(other)
+        if not isinstance(other, Polynomial):
+            return self._add_constant(_exact(other))
+        self._check_same_ring(other)
         acc = dict(self.terms)
         _accumulate(acc, other.terms)
         return Polynomial.from_dict(self.ring, acc)
 
     __radd__ = __add__
 
+    def _add_constant(self, value: Coefficient) -> "Polynomial":
+        # The constant monomial is the smallest in grevlex: only the last term changes.
+        if not value:
+            return self
+        constant = (0,) * len(self.ring)
+        terms = self.terms
+        if terms and terms[-1][0] == constant:
+            total = terms[-1][1] + value
+            terms = terms[:-1]
+            if not total:
+                return Polynomial(self.ring, terms)
+            value = _exact(total)
+        return Polynomial(self.ring, terms + ((constant, value),))
+
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
 
     def __sub__(self, other) -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return self._add_constant(-_exact(other))
         return self + (-self._coerce(other))
 
     def __rsub__(self, other) -> "Polynomial":
@@ -248,23 +280,15 @@ class Polynomial:
             # A bare variable maps to its image; sharing it avoids copying a
             # large image, as when matrix entries take a word's pullback.
             return ordered[self.terms[0][0].index(1)]
-        factors: dict[tuple[int, int], tuple[tuple[Exponents, Coefficient], ...]] = {}
-        acc: dict[Exponents, Coefficient] = {}
-        for exponents, coeff in self.terms:
-            term = None
-            for position, power in enumerate(exponents):
-                if power:
-                    if (position, power) not in factors:
-                        image = ordered[position]
-                        factors[(position, power)] = (image if power == 1 else image**power).terms
-                    factor = factors[(position, power)]
-                    term = factor if term is None else _mul_terms(term, factor).items()
-            if term is None:
-                term = (((0,) * len(target), coeff),)
-            elif coeff != 1:
-                term = [(e, c * coeff) for e, c in term]
-            _accumulate(acc, term)
-        return Polynomial.from_dict(target, acc)
+        degrees = _degrees(ordered)
+        bound = _degree_bound(self.terms, degrees)
+        pack, unpack = _packing(len(target), bound)
+        # An image of degree above the bound occurs in no term, so stays unpacked.
+        packed = [
+            _packed(image, pack) if degree <= bound else None
+            for image, degree in zip(ordered, degrees)
+        ]
+        return _unpacked(target, _substitute_packed(self.terms, packed), unpack)
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; every ring variable needs a value."""
@@ -324,6 +348,146 @@ def _accumulate(acc: dict[Exponents, Coefficient], terms) -> None:
     for key, value in terms:
         previous = acc.get(key)
         acc[key] = value if previous is None else previous + value
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials for substitution (see the module docstring)
+# ---------------------------------------------------------------------------
+
+_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _degrees(polynomials: Sequence[Polynomial]) -> list[int]:
+    """Total degrees, the zero polynomial's taken as 0 for degree bounds."""
+    return [max(p.total_degree(), 0) for p in polynomials]
+
+
+def _degree_bound(terms, degrees: Sequence[int]) -> int:
+    """Largest ``sum(e[i] * degrees[i])`` over the terms: the degree bound of a substitution."""
+    return max((sum(map(mul, e, degrees)) for e, _ in terms), default=0)
+
+
+def _packing(width: int, bound: int) -> tuple[Callable, Callable]:
+    """``(pack, unpack)`` for a ``width``-variable ring, every degree at most ``bound``."""
+    for size, code in _FIELDS:
+        if bound >> 8 * size == 0:
+            return _packer(width, size, code)
+    raise ValueError(f"substitution degree bound {bound} does not fit a 64-bit exponent")
+
+
+@lru_cache(maxsize=None)
+def _packer(width: int, size: int, code: str) -> tuple[Callable, Callable]:
+    # A trailing pad byte keeps the layout non-empty, as `iter_unpack` needs,
+    # in a ring with no variables; it is the top byte of every packed value, 0.
+    layout = struct.Struct(f"<{width}{code}x")
+    shift = 8 * size * width
+    mask = (1 << shift) - 1
+    nbytes = size * width + 1
+    from_bytes = int.from_bytes
+
+    def pack(e: Exponents) -> int:
+        return (sum(e) << shift) - from_bytes(layout.pack(*e), "little")
+
+    def unpack(keys: Sequence[int]):
+        """The exponent tuples of packed monomials, in order."""
+        return layout.iter_unpack(b"".join([(-k & mask).to_bytes(nbytes, "little") for k in keys]))
+
+    return pack, unpack
+
+
+_ONE = ((0, 1),)  # the packed constant 1
+
+
+def _packed(p: Polynomial, pack: Callable) -> list[tuple[int, Coefficient]]:
+    return [(pack(e), c) for e, c in p.terms]
+
+
+def _mul_into(out: dict[int, Coefficient], left, right, scale: Coefficient = 1) -> dict:
+    """Add ``scale`` times the product of two packed term sequences into ``out``."""
+    if len(left) > len(right):
+        left, right = right, left
+    get = out.get
+    for k1, c1 in left:
+        c1 *= scale
+        for k2, c2 in right:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    return out
+
+
+def _pow_packed(terms, power: int):
+    result = None
+    while True:
+        if power & 1:
+            result = terms if result is None else _mul_into({}, result, terms).items()
+        power >>= 1
+        if not power:
+            return result
+        terms = _mul_into({}, terms, terms).items()
+
+
+def _substitute_packed(terms, images) -> dict[int, Coefficient]:
+    """``sum(c * prod(images[i] ** e[i]))`` over ``terms``, the images packed."""
+    factors: dict[tuple[int, int], object] = {}
+    acc: dict[int, Coefficient] = {}
+    for exponents, coeff in terms:
+        # The last factor multiplies straight into ``acc``.
+        term = last = None
+        for position, power in enumerate(exponents):
+            if power:
+                factor = factors.get((position, power))
+                if factor is None:
+                    factor = factors[(position, power)] = _pow_packed(images[position], power)
+                if last is not None:
+                    term = last if term is None else _mul_into({}, term, last).items()
+                last = factor
+        _mul_into(acc, _ONE if term is None else term, _ONE if last is None else last, coeff)
+    return acc
+
+
+def _unpacked(ring: Ring, acc: Mapping[int, Coefficient], unpack: Callable) -> Polynomial:
+    # Descending packed order is descending grevlex, the canonical order.
+    keys = sorted([k for k, c in acc.items() if c], reverse=True)
+    coeffs = [acc[k] for k in keys]
+    if {*map(type, coeffs)} - {int}:
+        coeffs = [_exact(c) for c in coeffs]
+    return Polynomial(ring, tuple(zip(unpack(keys), coeffs)))
+
+
+def fold_substitute(
+    maps: Sequence[Polynomial],
+    start: Sequence[Polynomial],
+    blocks: Sequence[Sequence[Polynomial]],
+    order: Sequence[int],
+) -> tuple[Polynomial, ...]:
+    """Fold ``values = [m.substitute(values + block) for m in maps]`` over ``order``.
+
+    ``values`` starts at ``start``; step ``s`` appends ``blocks[order[s]]``,
+    so the variables of the maps' common ring take the current values and
+    then the block, in ring order.  ``start`` and every block share one
+    target ring, which the result lives in.  Equal to calling `substitute`
+    step by step, but the values stay packed between steps.
+    """
+    rings = {m.ring for m in maps}
+    targets = {p.ring for p in start} | {p.ring for block in blocks for p in block}
+    if len(rings) > 1 or len(targets) != 1:
+        raise RingMismatchError("fold maps or values live in different rings")
+    if any(len(start) + len(block) != len(ring) for block in blocks for ring in rings):
+        raise SubstitutionError("fold values and block do not match the maps' variables")
+    (target,) = targets
+    block_degrees = [_degrees(block) for block in blocks]
+    current = _degrees(start)
+    bound = max([0, *current, *(d for degrees in block_degrees for d in degrees)])
+    for index in order:
+        current = [_degree_bound(m.terms, current + block_degrees[index]) for m in maps]
+        bound = max([bound, *current])
+    pack, unpack = _packing(len(target), bound)
+    values = [_packed(p, pack) for p in start]
+    packed_blocks = [[_packed(p, pack) for p in block] for block in blocks]
+    for index in order:
+        images = values + packed_blocks[index]
+        values = [[t for t in _substitute_packed(m.terms, images).items() if t[1]] for m in maps]
+    return tuple(_unpacked(target, dict(v), unpack) for v in values)
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:

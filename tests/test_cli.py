@@ -157,6 +157,12 @@ def test_input_errors_exit_two(tmp_path, z2_file):
         assert err.startswith("error:"), argv
 
 
+def test_cyclic_order_past_the_cap_exits_two(z2_file):
+    code, out, err = invoke("rep-count", "--group", z2_file, "--finite", "cyclic:721")
+    assert (code, out) == (2, "")
+    assert err == "error: cyclic group supported for 1 <= k <= 720\n"
+
+
 def test_missing_presentation_key_is_named(tmp_path):
     path = tmp_path / "nogens.json"
     path.write_text(json.dumps({"relators": []}))

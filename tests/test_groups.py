@@ -170,6 +170,22 @@ def test_make_finite_group_specs(tmp_path):
         make_finite_group("nonsense:9")
 
 
+def test_shipped_finite_groups_are_built_once(tmp_path):
+    assert make_finite_group("sym:4") is make_finite_group("sym:4")
+    assert make_finite_group("cyclic:5") is make_finite_group("cyclic:5")
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"table": [[0]]}))
+    assert make_finite_group(str(path)).order == 1
+    path.write_text(json.dumps({"table": [[0, 1], [1, 0]]}))
+    assert make_finite_group(str(path)).order == 2
+
+
+def test_cyclic_order_is_capped_at_720():
+    for k in (0, 721, 100_000):
+        with pytest.raises(GroupTableError, match="1 <= k <= 720"):
+            make_finite_group(f"cyclic:{k}")
+
+
 def test_power_and_order():
     s3 = symmetric_group(3)
     swap = s3.names.index("(1 2)")

@@ -129,6 +129,105 @@ def test_from_dict_terms_strictly_descend_in_grevlex(mapping):
     assert dict(p.terms) == {e: c for e, c in mapping.items() if c}
 
 
+# -- packed substitution ----------------------------------------------------
+#
+# `substitute` and `fold_substitute` multiply packed monomials; `*` and `**`
+# keep exponent tuples, so they are the oracle here.
+
+
+def _naive_substitute(p, images):
+    """``sum(c * prod(images[v] ** e_v))`` built with ``*``, ``**`` and ``+``."""
+    (target,) = {image.ring for image in images.values()}
+    total = Polynomial.zero(target)
+    for exponents, coeff in p.terms:
+        term = Polynomial.constant(target, coeff)
+        for v, power in zip(p.ring, exponents):
+            term = term * images[v] ** power
+        total = total + term
+    return total
+
+
+_ZERO_IMAGE = Polynomial.zero(_TARGET)
+# Exponents of x reach 300, so both the 1-byte and the 2-byte fields run; x's
+# image has at most two terms to keep the expansion small.
+_packed_polys = st.dictionaries(
+    st.one_of(
+        st.just((0, 0, 0)),
+        _exponents,
+        st.tuples(st.integers(0, 300), st.integers(0, 2), st.integers(0, 2)),
+    ),
+    _kernel_coeffs,
+    max_size=4,
+).map(lambda d: Polynomial.from_dict(RING, d))
+_small_image = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _kernel_coeffs, max_size=2
+).map(lambda d: Polynomial.from_dict(_TARGET, d))
+_packed_images = st.fixed_dictionaries(
+    {
+        "x": st.one_of(st.just(_ZERO_IMAGE), _small_image),
+        "y": st.one_of(st.just(_ZERO_IMAGE), _image),
+        "z": st.one_of(st.just(_ZERO_IMAGE), _image),
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_packed_polys, _packed_images)
+def test_substitute_is_the_naive_expansion(p, images):
+    assert p.substitute(images) == _naive_substitute(p, images)
+
+
+def test_substitute_at_the_field_width_boundaries():
+    s, t = (Polynomial.variable(_TARGET, v) for v in _TARGET)
+    images = {"x": s + t, "y": s * t, "z": 1 - t}
+    for k in (255, 256):  # the degree bound is k: 1-byte, then 2-byte fields
+        p = X**k - Y * Z + 1
+        assert p.substitute(images) == _naive_substitute(p, images)
+    for k in (2**16 - 1, 2**16, 2**32 - 1, 2**32):
+        assert (X**k).substitute({"x": s, "y": t, "z": t}).terms == (((k, 0), 1),)
+
+
+def test_substitute_into_a_ring_with_no_variables():
+    images = {"x": Polynomial.constant((), 3), "y": Polynomial.constant((), 2), "z": Polynomial.zero(())}
+    assert (X**2 + 3 * X * Y - Z - 1).substitute(images) == Polynomial.constant((), 26)
+
+
+def test_substitute_rejects_a_degree_bound_past_64_bits():
+    images = {v: Polynomial.variable(_TARGET, "s") for v in RING}
+    assert (X ** (2**64 - 1)).substitute(images).terms == (((2**64 - 1, 0), 1),)
+    with pytest.raises(ValueError, match="64-bit"):
+        (X ** (2**64)).substitute(images)
+
+
+_DOUBLED = ("a'", "b'", "a''", "b''")
+
+
+def test_fold_substitute_is_substitution_step_by_step():
+    # b's degree passes 255 after one step on block 0, so the fields widen.
+    a1, b1, a2, b2 = (Polynomial.variable(_DOUBLED, v) for v in _DOUBLED)
+    s, t = (Polynomial.variable(_TARGET, v) for v in _TARGET)
+    maps = [a2, a1**200 + b1 * b2 - 3]
+    start = [Polynomial.one(_TARGET), Polynomial.zero(_TARGET)]
+    blocks = [[s**2 + t, t], [s, 1 - t], [_ZERO_IMAGE, s]]
+    for order in ([], [0], [0, 1], [0, 1, 1], [1, 0, 2, 0], [2, 2]):
+        values = start
+        for index in order:
+            images = dict(zip(_DOUBLED, values + blocks[index]))
+            values = [m.substitute(images) for m in maps]
+        assert polyalg.fold_substitute(maps, start, blocks, order) == tuple(values), order
+
+
+def test_fold_substitute_checks_its_rings():
+    a1, _, a2, _ = (Polynomial.variable(_DOUBLED, v) for v in _DOUBLED)
+    s = Polynomial.variable(_TARGET, "s")
+    with pytest.raises(SubstitutionError):
+        polyalg.fold_substitute([a1 * a2], [s], [[s]], [0])
+    with pytest.raises(RingMismatchError):
+        polyalg.fold_substitute([a1 * a2, X], [s, s], [[s, s]], [0])
+    with pytest.raises(RingMismatchError):
+        polyalg.fold_substitute([a1 * a2, a1], [s, X], [[s, s]], [0])
+
+
 # -- coefficient types ------------------------------------------------------
 #
 # An integer value is stored as an int and any other as a Fraction; a float,
@@ -155,6 +254,22 @@ def test_every_coefficient_is_an_int_or_a_non_integral_fraction(p, q, scalar, im
     results += groebner(Ideal(RING, (p, q))).basis
     for result in results:
         _assert_canonical_coefficients(result)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_mixed_polys, _mixed_coeffs)
+def test_adding_a_constant_is_adding_the_constant_polynomial(p, c):
+    constant = Polynomial.constant(RING, c)
+    last = p.terms[-1][1] if p.terms else 0  # cancels a constant term
+    assert p + c == c + p == p + constant
+    assert p - c == p - constant
+    assert c - p == constant - p
+    assert p - last == p - Polynomial.constant(RING, last)
+    for result in (p + c, p - c, c - p, p - last):
+        _assert_canonical_coefficients(result)
+    half = X + Fraction(1, 2)
+    assert (half + Fraction(1, 2)).terms == (((1, 0, 0), 1), ((0, 0, 0), 1))
+    assert type((half + Fraction(1, 2)).terms[-1][1]) is int
 
 
 def test_inexact_coefficients_are_rejected():

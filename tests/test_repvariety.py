@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfrep.alggroups import LiePresentation, make_group, make_lie, parse_lie_expr
+from hopfrep.alggroups import LiePresentation, make_group, make_lie, parse_lie_expr, pullback
 from hopfrep.groups import (
     FreeWord,
     GroupPresentation,
@@ -71,6 +71,16 @@ def test_torus_relator_groebner(torus1):
     gb = groebner(pres.ideal)
     z1 = Polynomial.variable(pres.ring, "z1")
     assert ideal_member(z1**2 - 1, gb)
+
+
+def test_torus_power_relators_at_the_field_width_boundary(torus1):
+    # The pullback of a^k has degree k: 1-byte exponent fields for 255, 2-byte for 256.
+    for k in (255, 256):
+        word = parse_word(f"a^{k}", ("a",))
+        assert [str(v) for v in pullback(word, torus1)] == [f"z1^{k}", f"t1^{k}"]
+        for relator, variable in ((word, "z1"), (word.inverse(), "t1")):
+            pres = rep_ideal(GroupPresentation(("a",), (relator,)), torus1)
+            assert [str(g) for g in pres.ideal.generators] == ["z1*t1 - 1", f"{variable}^{k} - 1"]
 
 
 def test_rep_ideal_json_schema(sl2):
