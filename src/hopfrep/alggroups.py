@@ -582,40 +582,34 @@ def _validate_lie(data: LieAlgebraData) -> None:
                         )
 
 
+@functools.lru_cache(maxsize=None)
+def _shipped_lie(text: str) -> LieAlgebraData:
+    """A shipped Lie algebra, built and validated once per spec text."""
+    if text == "sl2":
+        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+        e, f, h = 0, 1, 2
+        c[h][e][e], c[e][h][e] = 2, -2
+        c[h][f][f], c[f][h][f] = -2, 2
+        c[e][f][h], c[f][e][h] = 1, -1
+        return lie_from_constants(c, ("e", "f", "h"), "sl2")
+    d = int(text.split(":", 1)[1])
+    # Validation is O(d^5) over d^3 constants; the cap is the dimension of sl(3).
+    if not 0 <= d <= 8:
+        raise LieDataError("abelian Lie algebra supported for 0 <= d <= 8")
+    return lie_from_constants([[[0] * d] * d] * d, name=f"abelian:{d}")
+
+
 def make_lie(spec) -> LieAlgebraData:
-    """Build a Lie algebra: ``sl2``, ``abelian:d``, or explicit-constants JSON.
+    """Build a Lie algebra: ``sl2``, ``abelian:d`` (d <= 8), or explicit-constants JSON.
 
     ``sl2`` has basis (e, f, h) with [h,e] = 2e, [h,f] = -2f, [e,f] = h.
+    A shipped algebra is built and validated once per process.
     """
     if isinstance(spec, LieAlgebraData):
         return spec
     text = str(spec)
-    if text == "sl2":
-        d = 3
-        zero = Fraction(0)
-        c = [[[zero] * d for _ in range(d)] for _ in range(d)]
-        e, f, h = 0, 1, 2
-        c[h][e][e], c[e][h][e] = Fraction(2), Fraction(-2)
-        c[h][f][f], c[f][h][f] = Fraction(-2), Fraction(2)
-        c[e][f][h], c[f][e][h] = Fraction(1), Fraction(-1)
-        data = LieAlgebraData(
-            "sl2", d, ("e", "f", "h"), tuple(tuple(tuple(r) for r in p) for p in c)
-        )
-        _validate_lie(data)
-        return data
-    if text.startswith("abelian:"):
-        d = int(text.split(":", 1)[1])
-        if d < 0:
-            raise LieDataError("dimension must be non-negative")
-        zero = Fraction(0)
-        constants = tuple(
-            tuple(tuple(zero for _ in range(d)) for _ in range(d)) for _ in range(d)
-        )
-        data = LieAlgebraData(
-            f"abelian:{d}", d, tuple(f"e{i}" for i in range(1, d + 1)), constants
-        )
-        _validate_lie(data)
-        return data
+    if text == "sl2" or text.startswith("abelian:"):
+        return _shipped_lie(text)
     path = Path(text)
     if path.exists():
         data = JsonObject(path, "Lie", LieDataError)

@@ -12,18 +12,21 @@ bit-identical results and printed output.  A ring is simply a tuple of
 variable names; the position in the tuple fixes the variable order used
 by every monomial order.
 
-Substitution packs monomials (Monagan and Pearce, CASC 2007): in an
+Products pack monomials (Monagan and Pearce, CASC 2007): in an
 n-variable ring a monomial e becomes the integer
 ``(deg e << 8wn) - sum(e[i] << 8w*i)``, n fields of w bytes under the
 total degree.  While every exponent stays below ``2**8w`` the product of
 two monomials is the sum of their integers, and descending integer order
-is descending grevlex, so a result is one plain sort of integers.  The
-field width w is 1, 2, 4 or 8 bytes, the smallest that holds a degree
-bound on every monomial the computation can form: for `substitute`, the
-largest ``sum(e[i] * deg(image[i]))`` over its terms; for
-`fold_substitute`, that bound at every step of the fold, not only the
-last, since a map need not raise degree monotonically.  Products and
-powers in ``*`` and ``**`` keep exponent tuples.
+is descending grevlex, so a result is one plain sort of integers.  One
+packed product loop serves ``*``, ``**``, `substitute` and
+`fold_substitute`.  The field width w is 1, 2, 4 or 8 bytes, the
+smallest that holds a degree bound on every monomial the computation can
+form: ``deg a + deg b`` for a product, ``k * deg a`` for a k-th power,
+and for `fold_substitute` (`substitute` is one step of it) the largest
+``sum(e[i] * deg(value[i]))`` at every step of the fold, not only the
+last, since a map need not raise degree monotonically.  Groebner's
+S-polynomials need no product: that of two monic elements is their tails
+shifted up to the lcm of their leading monomials.
 """
 
 from __future__ import annotations
@@ -201,7 +204,8 @@ class Polynomial:
             return self._add_constant(_exact(other))
         self._check_same_ring(other)
         acc = dict(self.terms)
-        _accumulate(acc, other.terms)
+        for e, c in other.terms:
+            acc[e] = acc.get(e, 0) + c
         return Polynomial.from_dict(self.ring, acc)
 
     __radd__ = __add__
@@ -238,22 +242,19 @@ class Polynomial:
                 return Polynomial.zero(self.ring)
             return Polynomial(self.ring, tuple((e, _exact(c * value)) for e, c in self.terms))
         other = self._coerce(other)
-        return Polynomial.from_dict(self.ring, _mul_terms(self.terms, other.terms))
+        pack, unpack = _packing(len(self.ring), sum(_degrees((self, other))))
+        product = _mul_into({}, _packed(self, pack), _packed(other, pack))
+        return _unpacked(self.ring, product, unpack)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be non-negative integers")
-        result = Polynomial.one(self.ring)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        if not exponent:
+            return Polynomial.one(self.ring)
+        pack, unpack = _packing(len(self.ring), exponent * max(self.total_degree(), 0))
+        return _unpacked(self.ring, dict(_pow_packed(_packed(self, pack), exponent)), unpack)
 
     # -- substitution and evaluation ----------------------------------
 
@@ -274,21 +275,12 @@ class Polynomial:
         rings = {image.ring for image in images.values()}
         if len(rings) != 1:
             raise RingMismatchError("substitution images live in different rings")
-        (target,) = rings
         ordered = [images[v] for v in self.ring]
         if len(self.terms) == 1 and self.terms[0][1] == 1 and sum(self.terms[0][0]) == 1:
             # A bare variable maps to its image; sharing it avoids copying a
             # large image, as when matrix entries take a word's pullback.
             return ordered[self.terms[0][0].index(1)]
-        degrees = _degrees(ordered)
-        bound = _degree_bound(self.terms, degrees)
-        pack, unpack = _packing(len(target), bound)
-        # An image of degree above the bound occurs in no term, so stays unpacked.
-        packed = [
-            _packed(image, pack) if degree <= bound else None
-            for image, degree in zip(ordered, degrees)
-        ]
-        return _unpacked(target, _substitute_packed(self.terms, packed), unpack)
+        return fold_substitute((self,), (), (ordered,), (0,))[0]
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at a rational point; every ring variable needs a value."""
@@ -328,30 +320,8 @@ class Polynomial:
         return format_polynomial(self)
 
 
-def _mul_terms(left, right) -> dict[Exponents, Coefficient]:
-    """Product of two term sequences, as an uncanonicalized term dict."""
-    if len(left) > len(right):
-        left, right = right, left
-    out: dict[Exponents, Coefficient] = {}
-    for e1, c1 in left:
-        negate = c1 == -1
-        scaled = right if c1 == 1 else [(e2, -c2 if negate else c1 * c2) for e2, c2 in right]
-        _accumulate(out, ((tuple(map(add, e1, e2)), c2) for e2, c2 in scaled))
-    return out
-
-
-def _accumulate(acc: dict[Exponents, Coefficient], terms) -> None:
-    """Add terms with distinct monomials into ``acc``; zero sums stay, ``from_dict`` drops them."""
-    if not acc:
-        acc.update(terms)
-        return
-    for key, value in terms:
-        previous = acc.get(key)
-        acc[key] = value if previous is None else previous + value
-
-
 # ---------------------------------------------------------------------------
-# Packed monomials for substitution (see the module docstring)
+# Packed monomials (see the module docstring)
 # ---------------------------------------------------------------------------
 
 _FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
@@ -372,7 +342,7 @@ def _packing(width: int, bound: int) -> tuple[Callable, Callable]:
     for size, code in _FIELDS:
         if bound >> 8 * size == 0:
             return _packer(width, size, code)
-    raise ValueError(f"substitution degree bound {bound} does not fit a 64-bit exponent")
+    raise ValueError(f"degree bound {bound} does not fit a 64-bit exponent")
 
 
 @lru_cache(maxsize=None)
@@ -600,13 +570,16 @@ def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREV
     return Polynomial.from_dict(p.ring, remainder)
 
 
-def _s_polynomial(f: Polynomial, g: Polynomial, key) -> Polynomial:
-    """S-polynomial of two monic polynomials, as `groebner` keeps its basis."""
-    lf, lg = _leading(f, key)[0], _leading(g, key)[0]
-    lcm = _lcm(lf, lg)
-    mono_f = Polynomial(f.ring, ((tuple(map(sub, lcm, lf)), 1),))
-    mono_g = Polynomial(g.ring, ((tuple(map(sub, lcm, lg)), 1),))
-    return mono_f * f - mono_g * g
+def _s_polynomial(ring: Ring, f: tuple, g: tuple, lcm: Exponents) -> Polynomial:
+    """S-polynomial of two prepared monic divisors: their tails shifted up to ``lcm``."""
+    (lf, _, _, tail_f), (lg, _, _, tail_g) = f, g
+    shift = tuple(map(sub, lcm, lf))
+    acc = {tuple(map(add, e, shift)): c for e, c in tail_f}
+    shift = tuple(map(sub, lcm, lg))
+    for e, c in tail_g:
+        moved = tuple(map(add, e, shift))
+        acc[moved] = acc.get(moved, 0) - c
+    return Polynomial.from_dict(ring, acc)
 
 
 # When set, `groebner` writes one line of stats here per basis (``--verbose``).
@@ -628,8 +601,10 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
     names = ("pairs", "product_skips", "gm_skips", "reductions", "zero_reductions", "peak_divisors")
     count = dict.fromkeys(names, 0)
     basis: list[Polynomial] = []  # every element ever added, monic, by index
-    lead: list[Exponents] = []
-    members: dict[int, tuple] = {}  # the divisor set, prepared
+    # Every element's prepared tuple: a queued pair can outlive its elements'
+    # membership in the divisor set.
+    prepared: list[tuple] = []
+    members: dict[int, tuple] = {}  # the divisor set
     # Pairs pop in order of (key(lcm), (i, j)); the lcm rides along.
     pairs: list[tuple] = []
     incoming = [_monic(g, key) for g in reversed(ideal.generators) if not g.is_zero()]
@@ -637,31 +612,34 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
         if incoming:
             h = incoming.pop()
         else:
-            _, (i, j), _ = heappop(pairs)
-            r = normal_form(_s_polynomial(basis[i], basis[j], key), members, order)
+            _, (i, j), m = heappop(pairs)
+            r = normal_form(_s_polynomial(ideal.ring, prepared[i], prepared[j], m), members, order)
             count["reductions"] += 1
             if r.is_zero():
                 count["zero_reductions"] += 1
                 continue
             h = _monic(r, key)
-        new, lm = len(basis), _leading(h, key)[0]
+        new, d = len(basis), _prepare(h, key)
+        lm = d[0]
         basis.append(h)
-        lead.append(lm)
+        prepared.append(d)
         # Gebauer–Möller.  An old pair goes if lm divides its lcm, unless the
         # lcm is also that of one of its elements with h.
         queued = len(pairs)
         pairs = [
             (sort_key, (i, j), m)
             for sort_key, (i, j), m in pairs
-            if not _divides(lm, m) or m in (_lcm(lead[i], lm), _lcm(lead[j], lm))
+            if not _divides(lm, m) or m in (_lcm(prepared[i][0], lm), _lcm(prepared[j][0], lm))
         ]
         heapify(pairs)
         count["gm_skips"] += queued - len(pairs)
         # A new pair goes if another new pair's lcm divides its own; of equal
         # lcms one stays, a coprime one if there is one.  Smallest lcm first, so
         # only kept pairs need checking.  Coprime survivors prune, then go.
-        lcms = {i: _lcm(lead[i], lm) for i in members}
-        fresh = sorted((key(m), m != tuple(map(add, lead[i], lm)), i, m) for i, m in lcms.items())
+        lcms = {i: _lcm(prepared[i][0], lm) for i in members}
+        fresh = sorted(
+            (key(m), m != tuple(map(add, prepared[i][0], lm)), i, m) for i, m in lcms.items()
+        )
         count["pairs"] += len(fresh)
         kept: list[Exponents] = []
         for sort_key, shares, i, m in fresh:
@@ -674,13 +652,16 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
             else:
                 count["product_skips"] += 1
         # Elements whose leading monomial lm divides leave the divisor set.
-        members = {i: d for i, d in members.items() if not _divides(lm, d[0])}
-        members[new] = _prepare(h, key)
+        members = {i: p for i, p in members.items() if not _divides(lm, p[0])}
+        members[new] = d
         count["peak_divisors"] = max(count["peak_divisors"], len(members))
 
     # Drop input generators whose leading monomial an earlier element's
     # divides, then tail-reduce each element against the others in one pass.
-    keep = [i for i in members if not any(_divides(lead[j], lead[i]) for j in members if j < i)]
+    keep = [
+        i for i in members
+        if not any(_divides(prepared[j][0], prepared[i][0]) for j in members if j < i)
+    ]
     reduced = [
         _monic(normal_form(basis[i], {j: members[j] for j in keep if j != i}, order), key)
         for i in keep

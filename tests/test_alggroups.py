@@ -313,6 +313,15 @@ def test_abelian_lie():
     assert all(c == 0 for plane in lie.constants for row in plane for c in row)
 
 
+def test_shipped_lie_algebras_are_built_once_and_capped():
+    assert make_lie("sl2") is make_lie("sl2")
+    assert make_lie("abelian:3") is make_lie("abelian:3")
+    assert make_lie("abelian:0").dimension == 0
+    for spec in ("abelian:-1", "abelian:9"):
+        with pytest.raises(LieDataError, match="0 <= d <= 8"):
+            make_lie(spec)
+
+
 def test_sl2_brackets(sl2_lie):
     ring = ("s",)
     one = Polynomial.one(ring)

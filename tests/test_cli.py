@@ -163,6 +163,12 @@ def test_cyclic_order_past_the_cap_exits_two(z2_file):
     assert err == "error: cyclic group supported for 1 <= k <= 720\n"
 
 
+def test_abelian_dimension_past_the_cap_exits_two(abelian_lie_file):
+    code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", "abelian:9")
+    assert (code, out) == (2, "")
+    assert err == "error: abelian Lie algebra supported for 0 <= d <= 8\n"
+
+
 def test_missing_presentation_key_is_named(tmp_path):
     path = tmp_path / "nogens.json"
     path.write_text(json.dumps({"relators": []}))

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hopfrep import polyalg
@@ -18,7 +19,6 @@ from hopfrep.polyalg import (
     PolynomialParseError,
     RingMismatchError,
     SubstitutionError,
-    _s_polynomial,
     format_polynomial,
     groebner,
     ideal_member,
@@ -86,8 +86,8 @@ def test_power_and_scalars():
 
 
 _coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
-# Units are drawn often, because products and substitutions skip Fraction
-# work on them; these properties are the kernel's oracle apart from digests.
+# Units are drawn often, as in the shipped groups' polynomials; these
+# properties are the kernel's oracle apart from digests.
 _kernel_coeffs = st.one_of(st.sampled_from((Fraction(1), Fraction(-1))), _coeffs)
 _exponents = st.tuples(
     st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)
@@ -129,22 +129,96 @@ def test_from_dict_terms_strictly_descend_in_grevlex(mapping):
     assert dict(p.terms) == {e: c for e, c in mapping.items() if c}
 
 
-# -- packed substitution ----------------------------------------------------
+# -- the packed product kernel ----------------------------------------------
 #
-# `substitute` and `fold_substitute` multiply packed monomials; `*` and `**`
-# keep exponent tuples, so they are the oracle here.
+# `*`, `**`, `substitute` and `fold_substitute` all multiply packed
+# monomials.  The oracle is a product on plain ``{exponents: coefficient}``
+# dicts written here, which shares no code with the kernel.
+
+
+def _reference_product(left, right):
+    """Product of two ``{exponents: coefficient}`` dicts, zero sums left in."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _reference_power(base, k, width):
+    result = {(0,) * width: 1}
+    while k:
+        if k & 1:
+            result = _reference_product(result, base)
+        k >>= 1
+        if k:
+            base = _reference_product(base, base)
+    return result
 
 
 def _naive_substitute(p, images):
-    """``sum(c * prod(images[v] ** e_v))`` built with ``*``, ``**`` and ``+``."""
+    """``sum(c * prod(images[v] ** e_v))``, expanded by `_reference_product`."""
     (target,) = {image.ring for image in images.values()}
-    total = Polynomial.zero(target)
+    total = {}
     for exponents, coeff in p.terms:
-        term = Polynomial.constant(target, coeff)
+        term = {(0,) * len(target): coeff}
         for v, power in zip(p.ring, exponents):
-            term = term * images[v] ** power
-        total = total + term
-    return total
+            factor = _reference_power(dict(images[v].terms), power, len(target))
+            term = _reference_product(term, factor)
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return Polynomial.from_dict(target, total)
+
+
+# Exponents on both sides of the 1-byte and 2-byte field limits, so that a
+# product's degree bound lands on either side of 255/256 and 65535/65536.
+_WIDE_EXPONENTS = st.one_of(
+    st.integers(0, 2), st.sampled_from((127, 128, 255, 256, 32767, 32768, 65535, 65536))
+)
+
+
+@st.composite
+def _product_operands(draw):
+    ring = draw(st.sampled_from((RING, ("s",), ())))
+    monomials = st.tuples(*[_WIDE_EXPONENTS] * len(ring))
+    a, b = (
+        Polynomial.from_dict(ring, draw(st.dictionaries(monomials, _kernel_coeffs, max_size=3)))
+        for _ in range(2)
+    )
+    return a, b, draw(st.integers(0, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_product_operands())
+@example((X**128, X**127 - Y, 2))
+@example((X**128 + Z**128, X**128 - 1, 1))
+@example((Y**65535, Y - 2, 1))
+@example((Y**32768, Y**32768 + 1, 2))
+@example((Polynomial.zero(RING), X**300, 0))
+@example((Polynomial.constant((), 3), Polynomial.constant((), Fraction(-1, 2)), 3))
+def test_product_and_power_are_the_reference_product(operands):
+    a, b, k = operands
+    ring = a.ring
+    assert a * b == Polynomial.from_dict(ring, _reference_product(dict(a.terms), dict(b.terms)))
+    assert a**k == Polynomial.from_dict(ring, _reference_power(dict(a.terms), k, len(ring)))
+    if k == 0:
+        assert a**0 == Polynomial.one(ring)  # 0 ** 0 included
+
+
+def test_product_and_power_reject_a_degree_bound_past_64_bits():
+    big = X ** (2**63)
+    assert big.terms == (((2**63, 0, 0), 1),)
+    assert (big * X ** (2**63 - 1)).terms == (((2**64 - 1, 0, 0), 1),)
+    too_big = (
+        lambda: big * big,
+        lambda: big * (big + Y),
+        lambda: (X**2) ** (2**63),
+        lambda: X ** (2**64),
+    )
+    for make in too_big:
+        with pytest.raises(ValueError, match="64-bit"):
+            make()
 
 
 _ZERO_IMAGE = Polynomial.zero(_TARGET)
@@ -343,11 +417,16 @@ def test_groebner_idempotent_and_sound():
             for g in ideal.generators:
                 assert ideal_member(g, gb)
             key = monomial_key(order)
-            # every pair's S-polynomial reduces to zero
-            for i in range(len(gb.basis)):
-                for j in range(i + 1, len(gb.basis)):
-                    s = _s_polynomial(gb.basis[i], gb.basis[j], key)
-                    assert normal_form(s, gb.basis, order).is_zero()
+            # every pair's S-polynomial reduces to zero; the basis is monic
+            for f, g in itertools.combinations(gb.basis, 2):
+                lf, lg = (max((e for e, _ in h.terms), key=key) for h in (f, g))
+                lcm = tuple(map(max, lf, lg))
+                shift_f, shift_g = (
+                    Polynomial.from_dict(RING, {tuple(a - b for a, b in zip(lcm, lm)): 1})
+                    for lm in (lf, lg)
+                )
+                s = shift_f * f - shift_g * g
+                assert normal_form(s, gb.basis, order).is_zero()
 
 
 # -- an independent Groebner certificate -------------------------------------
@@ -551,6 +630,42 @@ def test_kernel_no_rows_needs_width():
     assert len(linear_kernel([], width=4)) == 4
     with pytest.raises(ValueError):
         linear_kernel([])
+
+
+def _pivot_columns(rows, width):
+    """Pivot columns of a row echelon form, by forward elimination written here."""
+    matrix = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(width):
+        top = len(pivots)
+        found = next((r for r in range(top, len(matrix)) if matrix[r][col]), None)
+        if found is None:
+            continue
+        matrix[top], matrix[found] = matrix[found], matrix[top]
+        for r in range(top + 1, len(matrix)):
+            factor = matrix[r][col] / matrix[top][col]
+            matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[top])]
+        pivots.append(col)
+    return pivots
+
+
+def test_kernel_of_matrices_with_planted_dependent_rows():
+    # Dependent rows make the elimination clear a pivot column from other rows.
+    rng = random.Random(20161)
+    for _ in range(200):
+        width = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 3)):
+            weights = [rng.randint(-2, 2) for _ in rows]
+            rows.append([sum(w * row[c] for w, row in zip(weights, rows)) for c in range(width)])
+        rng.shuffle(rows)
+        basis = linear_kernel(rows)
+        pivots = _pivot_columns(rows, width)
+        free = [c for c in range(width) if c not in pivots]
+        assert len(basis) == width - len(pivots), rows
+        for vector, column in zip(basis, free):
+            assert all(sum(a * x for a, x in zip(row, vector)) == 0 for row in rows), rows
+            assert [vector[c] for c in free] == [int(c == column) for c in free], rows
 
 
 # -- text syntax ------------------------------------------------------------

@@ -441,3 +441,34 @@ _Z3_SL2_GREVLEX = (
 def test_printed_groebner_basis_is_pinned(group, target, order, expected):
     gb = groebner(rep_ideal(group, make_group(target)).ideal, order)
     assert tuple(str(g) for g in gb.basis) == expected
+
+
+# The S-polynomials, the pair update and the reductions behind these bases,
+# pinned as (pairs, reductions, zero reductions): a rewrite of how an
+# S-polynomial is formed must reduce the same pairs in the same order.
+@pytest.mark.parametrize(
+    "group, target, order, counts",
+    [
+        (ZSQ, "sl:2", "grevlex", (334, 79, 44)),
+        (ZSQ, "sl:2", "lex", (79, 33, 16)),
+        (ZSQ, "gl:2", "grevlex", (397, 100, 59)),
+        (ZSQ, "gl:2", "lex", (93, 36, 17)),
+        (Z2, "sl:3", "grevlex", (732, 120, 67)),
+        (Z2, "sl:3", "lex", (888, 242, 181)),
+        (Z3, "sl:2", "grevlex", (41, 21, 10)),
+        (BS12, "sl:2", "grevlex", (1003, 166, 87)),
+    ],
+    ids=[
+        "zsq-sl2-grevlex",
+        "zsq-sl2-lex",
+        "zsq-gl2-grevlex",
+        "zsq-gl2-lex",
+        "z2-sl3-grevlex",
+        "z2-sl3-lex",
+        "z3-sl2-grevlex",
+        "bs12-sl2-grevlex",
+    ],
+)
+def test_groebner_counters_are_pinned(group, target, order, counts):
+    stats = groebner(rep_ideal(group, make_group(target)).ideal, order).stats
+    assert (stats["pairs"], stats["reductions"], stats["zero_reductions"]) == counts
