@@ -267,10 +267,43 @@ def test_substitute_into_a_ring_with_no_variables():
 
 
 def test_substitute_rejects_a_degree_bound_past_64_bits():
-    images = {v: Polynomial.variable(_TARGET, "s") for v in RING}
-    assert (X ** (2**64 - 1)).substitute(images).terms == (((2**64 - 1, 0), 1),)
+    # Every operand is built before `pytest.raises`, so the error is the substitution's.
+    s, t = (Polynomial.variable(_TARGET, v) for v in _TARGET)
+    images = {"x": s, "y": t, "z": t}
+
+    def x_to_the(k):  # built from its term, not with `**`
+        return Polynomial(RING, (((k, 0, 0), 1),))
+
+    assert x_to_the(2**64 - 1).substitute(images).terms == (((2**64 - 1, 0), 1),)
+    big = X ** (2**63)  # the bound passes 2^64 only once x maps to s^2
+    squared = {**images, "x": s**2}
+    assert (X ** (2**63 - 1) * Y).substitute(squared).terms == (((2**64 - 2, 1), 1),)
+    for p, p_images in ((x_to_the(2**64), images), (big + Y, squared)):
+        with pytest.raises(ValueError, match="64-bit"):
+            p.substitute(p_images)
+        with pytest.raises(ValueError, match="64-bit"):
+            polyalg.fold_substitute([p], [], [[p_images[v] for v in RING]], [0])
+
+
+def test_substitute_counts_every_image_in_the_degree_bound():
+    # An image's degree widens the packed fields even where no term uses it,
+    # so an unused image of degree 2^64 is refused.
+    s, t = (Polynomial.variable(_TARGET, v) for v in _TARGET)
+    wide = Polynomial(_TARGET, (((300, 0), 1),))
+    assert (X * Y + 1).substitute({"x": s, "y": t, "z": wide}) == s * t + 1
+    too_wide = Polynomial(_TARGET, (((2**64, 0), 1),))
     with pytest.raises(ValueError, match="64-bit"):
-        (X ** (2**64)).substitute(images)
+        (X * Y + 1).substitute({"x": s, "y": t, "z": too_wide})
+
+
+def test_fold_substitute_rejects_a_degree_bound_past_64_bits_mid_fold():
+    # u -> u^(2^32) v once gives degree 2^32 + 1, which fits; twice passes 2^64.
+    u, v = (Polynomial.variable(("u", "v"), name) for name in ("u", "v"))
+    s = Polynomial.variable(_TARGET, "s")
+    maps = [u ** (2**32) * v]
+    assert polyalg.fold_substitute(maps, [s], [[s]], [0])[0].terms == (((2**32 + 1, 0), 1),)
+    with pytest.raises(ValueError, match="64-bit"):
+        polyalg.fold_substitute(maps, [s], [[s]], [0, 0])
 
 
 _DOUBLED = ("a'", "b'", "a''", "b''")
