@@ -555,40 +555,56 @@ def enumerate_homs(
 ) -> list[tuple[int, ...]]:
     """All homomorphisms source -> target as tuples of generator images.
 
-    Backtracking over generator images in index order with relator pruning:
-    a relator is checked as soon as every generator it mentions has an
-    image.  The output is in lexicographic order of image index tuples,
-    and contains exactly the tuples killing every relator.
+    Backtracking over generator images in index order: once a prefix fixes
+    every generator of a relator but its last, x, the relator is folded once
+    into ``c0 x^e1 c1 ... x^ek ck`` and its conjugate ``x^e1 c1 ... x^ek
+    (ck c0)`` is tested for every candidate x by table lookups.  The output
+    is the tuples killing every relator, in lexicographic order.
     """
     n = source.n_generators
-    by_depth: dict[int, list[FreeWord]] = {d: [] for d in range(n + 1)}
+    table, inverses, identity = target.table, target.inverses, target.identity
+    by_depth: list[list] = [[] for _ in range(n + 1)]  # depth 0: empty relators, always killed
     for relator in source.relators:
-        depth = max((i for i, _ in relator.letters), default=0)
-        by_depth[depth].append(relator)
-
+        by_depth[max((i for i, _ in relator.letters), default=0)].append(relator.letters)
     results: list[tuple[int, ...]] = []
-    if not all(
-        evaluate_word(r, [0] * n, target) == target.identity for r in by_depth[0]
-    ):
-        return results
-    images: list[int] = []
-    candidate = 0
-    while True:
-        if len(images) == n:
-            results.append(tuple(images))
-            candidate = target.order
-        if candidate == target.order:
-            if not images:
-                return results
-            candidate = images.pop() + 1
-            continue
-        images.append(candidate)
-        depth = len(images)
-        if all(
-            evaluate_word(r, images + [0] * (n - depth), target) == target.identity
-            for r in by_depth[depth]
-        ):
-            candidate = 0
+    images, pending = [], []
+
+    def survivors(depth: int) -> Sequence[int]:
+        """The images of generator ``depth`` that kill its relators after ``images``."""
+        keep: Sequence[int] = range(target.order)
+        for letters in by_depth[depth]:
+            signs, constants = [], [identity]
+            for index, exponent in letters:
+                if index == depth:
+                    signs.append(exponent > 0)
+                    constants.append(identity)
+                else:
+                    g = images[index - 1]
+                    constants[-1] = table[constants[-1]][g if exponent > 0 else inverses[g]]
+            constants[-1] = table[constants[-1]][constants[0]]
+            values, inverted = [identity] * len(keep), [inverses[x] for x in keep]
+            for positive, c in zip(signs, constants[1:]):
+                factors = keep if positive else inverted
+                values = [table[table[v][x]][c] for v, x in zip(values, factors)]
+            keep = [x for x, v in zip(keep, values) if v == identity]
+        return keep
+
+    def descend() -> None:
+        if len(images) < n - 1:
+            pending.append(iter(survivors(len(images) + 1)))
         else:
-            images.pop()
-            candidate += 1
+            prefix = tuple(images)
+            results.extend([prefix + (x,) for x in survivors(n)])
+
+    if n == 0:
+        return [()]
+    descend()
+    while pending:
+        x = next(pending[-1], None)
+        del images[len(pending) - 1 :]
+        if x is None:
+            pending.pop()
+        else:
+            images.append(x)
+            descend()
+    return results

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import compress
-from operator import add, le, mul, sub
+from operator import add, getitem, le, mul, sub
 from typing import IO, Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -742,32 +742,40 @@ _TOKEN = re.compile(
 )
 
 
+_TABLE_POWERS = 16
+
+
+@lru_cache(maxsize=1024)
+def _powers(name: str) -> tuple[str, ...]:
+    """How ``name`` prints to the powers 0 .. 16: ``("", x, x^2, ..., x^16)``."""
+    return ("", name, *(f"{name}^{k}" for k in range(2, _TABLE_POWERS + 1)))
+
+
 def format_polynomial(p: Polynomial) -> str:
     """Deterministic text form: terms in descending grevlex order.
 
     Monomials print as ``coef*var^exp*...`` with unit coefficients and
-    unit exponents elided, e.g. ``3*x1_11^2*t1 - 1``.
+    unit exponents elided, e.g. ``3*x1_11^2*t1 - 1``.  Powers up to 16 come
+    from a table per variable name (the last 1,024 names are cached); a
+    term with a higher power is spelled out, so no table grows with an
+    exponent.
     """
     if not p.terms:
         return "0"
+    tables = [*map(_powers, p.ring)]
     pieces = []
-    for position, (exponents, coeff) in enumerate(p.terms):
-        factors = [
-            name if power == 1 else f"{name}^{power}"
-            for name, power in zip(p.ring, exponents)
-            if power
-        ]
-        text = str(coeff)
-        negative = text[0] == "-"
-        magnitude = text[1:] if negative else text
-        if not factors or magnitude != "1":
-            factors.insert(0, magnitude)
-        body = "*".join(factors)
-        if position == 0:
-            pieces.append(f"-{body}" if negative else body)
-        else:
-            pieces.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(pieces)
+    for exponents, coeff in p.terms:
+        try:
+            monomial = "*".join(filter(None, map(getitem, tables, exponents)))
+        except IndexError:  # a power above the tables
+            monomial = "*".join(f"{x}^{e}" if e > 1 else x for x, e in zip(p.ring, exponents) if e)
+        magnitude = abs(coeff)
+        if magnitude != 1:
+            text = str(magnitude)
+            monomial = f"{text}*{monomial}" if monomial else text
+        pieces += " - " if coeff < 0 else " + ", monomial or "1"
+    pieces[0] = "-" if pieces[0] == " - " else ""
+    return "".join(pieces)
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:

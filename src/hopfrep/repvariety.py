@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .alggroups import (
@@ -123,13 +124,17 @@ class FiniteRepAlgebra:
     def dimension(self) -> int:
         return len(self.points)
 
+    @cached_property
+    def _members(self) -> frozenset:
+        return frozenset(self.points)
+
     def _check(self, element: Mapping) -> None:
         for point in element:
-            if point not in self.points:
+            if point not in self._members:
                 raise ValueError(f"{point} is not a representation point")
 
     def delta(self, point: tuple[int, ...]) -> dict:
-        if point not in self.points:
+        if point not in self._members:
             raise ValueError(f"{point} is not a representation point")
         return {point: Fraction(1)}
 

@@ -7,6 +7,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hopfrep.groups import (
     FiniteGroup,
@@ -270,3 +272,45 @@ def test_enumeration_sorted_and_exhaustive(s3):
     assert homs == _scan_homs(pres, s3)
     # this is a presentation of S_3 itself: 1 trivial + 3 sign-like + 6 isos
     assert len(homs) == 10
+
+
+@pytest.fixture(scope="module")
+def relabelled_s3(tmp_path_factory):
+    """S_3 read from a JSON table whose identity sits at index 4, not 0."""
+    s3 = symmetric_group(3)
+    order = [1, 2, 4, 5, 0, 3]  # new index i is old element order[i]
+    position = {old: new for new, old in enumerate(order)}
+    table = [[position[s3.table[a][b]] for b in order] for a in order]
+    path = tmp_path_factory.mktemp("groups") / "s3_relabelled.json"
+    path.write_text(json.dumps({"table": table, "names": [s3.names[e] for e in order]}))
+    group = make_finite_group(str(path))
+    assert group.identity == 4 and group.table[0][1] != group.table[1][0]
+    return group
+
+
+@st.composite
+def _presentations(draw):
+    """Ranks 0-3; each relator stops at a drawn depth, and may be empty."""
+    rank = draw(st.integers(0, 3))
+    relators = []
+    for depth in draw(st.lists(st.integers(0, rank), max_size=3)):
+        letters = st.tuples(st.integers(1, depth), st.sampled_from((1, -1)))
+        relators.append(FreeWord(rank, tuple(draw(st.lists(letters, max_size=8))) if depth else ()))
+    return GroupPresentation(("a", "b", "c")[:rank], tuple(relators))
+
+
+def _pres(rank, *texts):
+    names = ("a", "b", "c")[:rank]
+    return GroupPresentation(names, tuple(parse_word(t, names) if t else FreeWord(rank) for t in texts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_presentations(), st.sampled_from(("sym:3", "cyclic:4", "relabelled")))
+@example(_pres(0, ""), "relabelled")
+@example(_pres(3, "", "a b^-1"), "sym:3")  # stops short of the last generator
+@example(_pres(2, "a b a^-1 b^-2"), "relabelled")  # b: both signs, several times
+@example(_pres(3, "c^-1 a c b a^-1 c^-1", "b^2"), "relabelled")
+@example(_pres(2, "a^3", "a b a^-1 b"), "cyclic:4")
+def test_enumerate_homs_matches_the_full_scan(relabelled_s3, pres, spec):
+    target = relabelled_s3 if spec == "relabelled" else make_finite_group(spec)
+    assert enumerate_homs(pres, target) == _scan_homs(pres, target)

@@ -716,6 +716,66 @@ def test_print_descending_order():
     assert format_polynomial(Polynomial.zero(RING)) == "0"
 
 
+def _format_oracle(p):
+    """The printer spelled out factor by factor: one f-string per nonzero exponent."""
+    if not p.terms:
+        return "0"
+    pieces = []
+    for position, (exponents, coeff) in enumerate(p.terms):
+        factors = [
+            name if power == 1 else f"{name}^{power}"
+            for name, power in zip(p.ring, exponents)
+            if power
+        ]
+        text = str(coeff)
+        negative = text[0] == "-"
+        magnitude = text[1:] if negative else text
+        if not factors or magnitude != "1":
+            factors.insert(0, magnitude)
+        body = "*".join(factors)
+        if position == 0:
+            pieces.append(f"-{body}" if negative else body)
+        else:
+            pieces.append(f"- {body}" if negative else f"+ {body}")
+    return " ".join(pieces)
+
+
+_CAP = polyalg._TABLE_POWERS
+
+
+@st.composite
+def _printable_polys(draw):
+    """Rings of 0, 1, 3 or 30 variables; powers around the table cap and 2^64."""
+    ring = tuple(f"v{i}" for i in range(draw(st.sampled_from((0, 1, 3, 30)))))
+    power = st.one_of(
+        st.sampled_from((0, 0, 0, 1, _CAP, _CAP + 1, 2**64)), st.integers(0, _CAP + 2)
+    )
+    coefficient = st.one_of(
+        st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2))),
+        st.integers(-(10**20), 10**20),
+        st.fractions(max_denominator=50),
+    )
+    terms = draw(st.dictionaries(st.tuples(*[power] * len(ring)), coefficient, max_size=6))
+    return Polynomial.from_dict(ring, terms)
+
+
+@given(_printable_polys())
+@example(Polynomial.zero(()))
+@example(Polynomial.constant((), -1))
+@example(Polynomial.from_dict(RING, {(0, 0, 0): 1, (_CAP, 1, 0): -1, (0, _CAP + 1, 2): Fraction(-1, 2)}))
+@example(Polynomial(RING, (((2**64, 0, 0), Fraction(1, 2)), ((0, 0, 0), -1))))
+def test_format_matches_the_factor_by_factor_oracle(p):
+    assert format_polynomial(p) == _format_oracle(p) == str(p)
+
+
+def test_format_tables_stay_capped():
+    huge = Polynomial(RING, (((2**64, 0, 0), 1),))
+    assert format_polynomial(huge) == f"x^{2**64}"
+    assert format_polynomial(-X ** (_CAP + 1) * Y**_CAP) == f"-x^{_CAP + 1}*y^{_CAP}"
+    assert all(len(table) == _CAP + 1 for table in map(polyalg._powers, RING))
+    assert polyalg._powers.cache_info().maxsize is not None
+
+
 def test_parse_errors_carry_column():
     with pytest.raises(PolynomialParseError) as err:
         P("x + $")

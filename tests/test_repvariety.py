@@ -216,6 +216,8 @@ def test_algebra_rejects_foreign_points(s3):
         algebra.delta((3,))  # element of order 3 is not a Z/2 image
     with pytest.raises(ValueError):
         algebra.mul({(3,): Fraction(1)}, algebra.one())
+    with pytest.raises(ValueError):
+        algebra.add(algebra.one(), {(3,): Fraction(1)})
 
 
 # -- Lie representation ideals -----------------------------------------------------
