@@ -16,7 +16,6 @@ the concrete form of the iterated tensor power of the coordinate ring.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from typing import Mapping, Sequence
 from .groups import FreeWord, JsonObject, to_postfix
 from .polyalg import (
     GREVLEX,
+    VARIABLE_NAME,
     Ideal,
     Polynomial,
     Ring,
@@ -64,6 +64,7 @@ class PresentedCommHopf:
     the identity point.  ``copy_templates[i]`` names variable ``i`` of copy
     ``c`` via ``.format(c=c)``.  ``matrix``, when present, is a square matrix
     of coordinate polynomials realizing the group as a matrix group.
+    Construction runs `_validate_hopf`, so no unchecked instance exists.
     """
 
     name: str
@@ -75,11 +76,12 @@ class PresentedCommHopf:
     copy_templates: tuple[str, ...]
     matrix: tuple[tuple[Polynomial, ...], ...] | None = None
 
+    def __post_init__(self) -> None:
+        _validate_hopf(self)
+
     @property
     def doubled_ring(self) -> Ring:
-        return tuple(f"{v}'" for v in self.variables) + tuple(
-            f"{v}''" for v in self.variables
-        )
+        return _doubled(self.variables)
 
     def counit_point(self) -> dict[str, Fraction]:
         return dict(zip(self.variables, self.counit))
@@ -88,53 +90,48 @@ class PresentedCommHopf:
         return self.name
 
 
+def _doubled(variables: Sequence[str]) -> Ring:
+    """Every variable once primed, then once double-primed: the ring of Delta."""
+    return tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
+
+
 def block_ring(group: PresentedCommHopf, copies: Sequence[int]) -> Ring:
     """Concatenated variable blocks, one per copy, in the given copy order."""
-    names = []
-    for c in copies:
-        names.extend(template.format(c=c) for template in group.copy_templates)
-    return tuple(names)
-
-
-def block_map(group: PresentedCommHopf, copy: int) -> dict[str, str]:
-    return {
-        v: template.format(c=copy)
-        for v, template in zip(group.variables, group.copy_templates)
-    }
+    return tuple(template.format(c=c) for c in copies for template in group.copy_templates)
 
 
 def block_ideal_generators(
     group: PresentedCommHopf, copy: int, ring: Ring
 ) -> list[Polynomial]:
-    mapping = block_map(group, copy)
+    mapping = dict(zip(group.variables, block_ring(group, [copy])))
     return [g.rename(ring, mapping) for g in group.defining_ideal.generators]
 
 
 def pullback(
-    word: FreeWord,
-    group: PresentedCommHopf,
-    ring: Ring | None = None,
-    copy_base: int = 1,
+    word: FreeWord, group: PresentedCommHopf, ring: Ring | None = None
 ) -> tuple[Polynomial, ...]:
     """Every coordinate of ``group`` evaluated on the word, in variable order.
 
-    Letter ``i`` is the point of copy ``copy_base + i - 1``.  The value is
+    Letter ``i`` is the point of the ``i``-th variable block of ``ring``,
+    which defaults to the block ring of copies ``1..rank``.  The value is
     folded through the comultiplication: the primed variables take the
     prefix's values and the double-primed ones the letter's block, which for
-    an inverse letter is the antipode renamed into that copy
+    an inverse letter is the antipode renamed into that block
     (`fold_substitute`, packed from the first letter to the last).  The
     empty word gives the counit.
     """
     if ring is None:
-        ring = block_ring(group, [copy_base + i for i in range(word.rank)])
+        ring = block_ring(group, range(1, word.rank + 1))
+    width = len(group.variables)
     blocks: dict[tuple[int, int], list[Polynomial]] = {}
     for letter in word.letters:
         if letter not in blocks:
             index, exponent = letter
-            mapping = block_map(group, copy_base + index - 1)
+            names = ring[(index - 1) * width : index * width]
             if exponent == 1:
-                blocks[letter] = [Polynomial.variable(ring, mapping[v]) for v in group.variables]
+                blocks[letter] = [Polynomial.variable(ring, name) for name in names]
             else:
+                mapping = dict(zip(group.variables, names))
                 blocks[letter] = [s.rename(ring, mapping) for s in group.antipode]
     position = {letter: i for i, letter in enumerate(blocks)}
     return fold_substitute(
@@ -183,8 +180,8 @@ def conjugation_substitution(p: Polynomial, group: PresentedCommHopf) -> Polynom
     images: dict[str, Polynomial] = {}
     for c in copies:
         word = FreeWord(len(copies) + 1, ((1, 1), (c + 1, 1), (1, -1)))
-        conjugated = pullback(word, group, ring=extended, copy_base=0)
-        images.update(zip(block_map(group, c).values(), conjugated))
+        conjugated = pullback(word, group, ring=extended)
+        images.update(zip(block_ring(group, [c]), conjugated))
     return p.substitute(images)
 
 
@@ -233,24 +230,11 @@ def cotangent_at_identity(group: PresentedCommHopf) -> CotangentData:
 # ---------------------------------------------------------------------------
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
-def _determinant(matrix: Sequence[Sequence[Polynomial]], ring: Ring) -> Polynomial:
-    size = len(matrix)
-    total = Polynomial.zero(ring)
-    for perm in itertools.permutations(range(size)):
-        term = Polynomial.constant(ring, _permutation_sign(perm))
-        for i in range(size):
-            term = term * matrix[i][perm[i]]
-        total = total + term
-    return total
+def _determinant(
+    matrix: Sequence[Sequence[Polynomial]], adjugate: Sequence[Sequence[Polynomial]], ring: Ring
+) -> Polynomial:
+    """The first row of ``matrix`` times the first column of its adjugate."""
+    return sum((m * row[0] for m, row in zip(matrix[0], adjugate)), Polynomial.zero(ring))
 
 
 def _adjugate(matrix: Sequence[Sequence[Polynomial]], ring: Ring) -> list[list[Polynomial]]:
@@ -264,7 +248,7 @@ def _adjugate(matrix: Sequence[Sequence[Polynomial]], ring: Ring) -> list[list[P
                 [matrix[r][c] for c in range(size) if c != i]
                 for r in range(size) if r != j
             ]
-            cofactor = _determinant(minor, ring)
+            cofactor = _determinant(minor, _adjugate(minor, ring), ring)
             if (i + j) % 2:
                 cofactor = -cofactor
             out[i][j] = cofactor
@@ -282,6 +266,9 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
     ideal.
     """
     ring = group.variables
+    clash = next((v for v in ring if v + "'" in ring), None)
+    if clash is not None:
+        raise GroupDataError(f"{group.name}: variable {clash}' is also the primed copy of {clash}")
     point = group.counit_point()
     for g in group.defining_ideal.generators:
         if g.evaluate(point) != 0:
@@ -339,22 +326,21 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
         "x{c}_" + f"{i}{j}" for i in range(1, size + 1) for j in range(1, size + 1)
     ) + (("t{c}",) if has_t else ())
 
-    ring = variables
-    var = {v: Polynomial.variable(ring, v) for v in variables}
+    var = {v: Polynomial.variable(variables, v) for v in variables}
     x = [[var[f"x{i}{j}"] for j in range(1, size + 1)] for i in range(1, size + 1)]
-    det = _determinant(x, ring)
-    adj = _adjugate(x, ring)
+    adj = _adjugate(x, variables)
+    det = _determinant(x, adj, variables)
 
     if has_t:
-        ideal = Ideal(ring, (var["t"] * det - 1,))
+        ideal = Ideal(variables, (var["t"] * det - 1,))
         antipode = tuple(
             adj[i][j] * var["t"] for i in range(size) for j in range(size)
         ) + (det,)
     else:
-        ideal = Ideal(ring, (det - 1,))
+        ideal = Ideal(variables, (det - 1,))
         antipode = tuple(adj[i][j] for i in range(size) for j in range(size))
 
-    doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
+    doubled = _doubled(variables)
     dvar = {v: Polynomial.variable(doubled, v) for v in doubled}
     comultiplication = []
     for i in range(1, size + 1):
@@ -374,7 +360,7 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
         for j in range(1, size + 1)
     ) + ((Fraction(1),) if has_t else ())
 
-    group = PresentedCommHopf(
+    return PresentedCommHopf(
         name=f"{kind}:{size}",
         variables=variables,
         defining_ideal=ideal,
@@ -384,8 +370,6 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
         copy_templates=templates,
         matrix=tuple(tuple(row) for row in x),
     )
-    _validate_hopf(group)
-    return group
 
 
 def _torus_group(k: int) -> PresentedCommHopf:
@@ -401,18 +385,17 @@ def _torus_group(k: int) -> PresentedCommHopf:
         templates = tuple(
             name for i in range(1, k + 1) for name in (f"z{i}_{{c}}", f"t{i}_{{c}}")
         )
-    ring = variables
-    var = {v: Polynomial.variable(ring, v) for v in variables}
+    var = {v: Polynomial.variable(variables, v) for v in variables}
     pairs = [(variables[2 * i], variables[2 * i + 1]) for i in range(k)]
-    ideal = Ideal(ring, tuple(var[z] * var[t] - 1 for z, t in pairs))
+    ideal = Ideal(variables, tuple(var[z] * var[t] - 1 for z, t in pairs))
     counit = tuple(Fraction(1) for _ in variables)
-    doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
+    doubled = _doubled(variables)
     dvar = {v: Polynomial.variable(doubled, v) for v in doubled}
     comultiplication = tuple(dvar[f"{v}'"] * dvar[f"{v}''"] for v in variables)
     antipode = []
     for z, t in pairs:
         antipode.extend([var[t], var[z]])
-    group = PresentedCommHopf(
+    return PresentedCommHopf(
         name=f"torus:{k}",
         variables=variables,
         defining_ideal=ideal,
@@ -422,27 +405,22 @@ def _torus_group(k: int) -> PresentedCommHopf:
         copy_templates=templates,
         matrix=((var["z"],),) if k == 1 else None,
     )
-    _validate_hopf(group)
-    return group
 
 
 def _additive_group() -> PresentedCommHopf:
     variables = ("u",)
-    ring = variables
-    doubled = ("u'", "u''")
-    group = PresentedCommHopf(
+    doubled = _doubled(variables)
+    return PresentedCommHopf(
         name="ga",
         variables=variables,
-        defining_ideal=Ideal(ring, ()),
+        defining_ideal=Ideal(variables, ()),
         counit=(Fraction(0),),
         comultiplication=(
             Polynomial.variable(doubled, "u'") + Polynomial.variable(doubled, "u''"),
         ),
-        antipode=(-Polynomial.variable(ring, "u"),),
+        antipode=(-Polynomial.variable(variables, "u"),),
         copy_templates=("u{c}",),
     )
-    _validate_hopf(group)
-    return group
 
 
 def _per_variable(data: JsonObject, key: str, variables: Sequence[str], leaf=str) -> list:
@@ -462,7 +440,10 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     repeated = next((v for i, v in enumerate(variables) if v in variables[:i]), None)
     if repeated is not None:
         raise data.fail(f'"variables" repeats {repeated!r}')
-    doubled = tuple(f"{v}'" for v in variables) + tuple(f"{v}''" for v in variables)
+    unreadable = next((v for v in variables if not VARIABLE_NAME.fullmatch(v)), None)
+    if unreadable is not None:
+        raise data.fail(f'"variables" has {unreadable!r}, which is not a polynomial variable name')
+    doubled = _doubled(variables)
     texts = data.array("ideal") if "ideal" in data else ()
     ideal = Ideal(variables, tuple(parse_polynomial(s, variables) for s in texts))
     counit = _per_variable(data, "counit", variables, (int, float, str))
@@ -479,7 +460,7 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
         if not rows or any(len(row) != len(rows) for row in rows):
             raise data.fail('"matrix" must be a non-empty square matrix')
         matrix = tuple(tuple(parse_polynomial(s, variables) for s in row) for row in rows)
-    group = PresentedCommHopf(
+    return PresentedCommHopf(
         name=str(data.get("name", "custom")),
         variables=variables,
         defining_ideal=ideal,
@@ -489,8 +470,6 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
         copy_templates=tuple(f"{v}_{{c}}" for v in variables),
         matrix=matrix,
     )
-    _validate_hopf(group)
-    return group
 
 
 @functools.lru_cache(maxsize=None)
@@ -647,6 +626,10 @@ def lie_from_constants(
 class LiePresentation:
     generators: tuple[str, ...]
     relators: tuple[tuple, ...] = ()
+
+    def __post_init__(self) -> None:
+        if len(set(self.generators)) != len(self.generators):
+            raise LieParseError("generator names must be distinct")
 
     @property
     def n_generators(self) -> int:

@@ -737,8 +737,10 @@ def linear_kernel(rows: Sequence[Sequence], width: int | None = None) -> list[li
 # Text syntax
 # ---------------------------------------------------------------------------
 
+# A variable name `parse_polynomial` reads back.
+VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 _TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z0-9_']*)|(?P<op>[-+*^()]))"
+    rf"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>{VARIABLE_NAME.pattern})|(?P<op>[-+*^()]))"
 )
 
 

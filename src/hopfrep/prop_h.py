@@ -117,7 +117,9 @@ class GeneratorTerm:
     """Formal expression over the generating operations; see subclasses."""
 
     def arity(self) -> tuple[int, int]:
-        raise NotImplementedError
+        """``(dom, cod)`` of the normal form; an ill-typed term raises ArityError."""
+        morphism = eval_term(self)
+        return (morphism.dom, morphism.cod)
 
 
 @dataclass(frozen=True)
@@ -126,10 +128,6 @@ class Gen(GeneratorTerm):
 
     def __post_init__(self) -> None:
         generator_morphism(self.name)
-
-    def arity(self) -> tuple[int, int]:
-        morphism = GENERATORS[self.name]
-        return (morphism.dom, morphism.cod)
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,6 @@ class Id(GeneratorTerm):
         if self.width < 0:
             raise ArityError("identity width must be non-negative")
 
-    def arity(self) -> tuple[int, int]:
-        return (self.width, self.width)
-
 
 @dataclass(frozen=True)
 class Compose(GeneratorTerm):
@@ -151,25 +146,11 @@ class Compose(GeneratorTerm):
     outer: GeneratorTerm
     inner: GeneratorTerm
 
-    def arity(self) -> tuple[int, int]:
-        inner_dom, inner_cod = self.inner.arity()
-        outer_dom, outer_cod = self.outer.arity()
-        if inner_cod != outer_dom:
-            raise ArityError(
-                f"composition mismatch: inner codomain {inner_cod}, outer domain {outer_dom}"
-            )
-        return (inner_dom, outer_cod)
-
 
 @dataclass(frozen=True)
 class Tensor(GeneratorTerm):
     left: GeneratorTerm
     right: GeneratorTerm
-
-    def arity(self) -> tuple[int, int]:
-        ld, lc = self.left.arity()
-        rd, rc = self.right.arity()
-        return (ld + rd, lc + rc)
 
 
 def eval_term(term: GeneratorTerm) -> HMorphism:
@@ -488,13 +469,8 @@ def _as_element(model: HopfModel, value) -> Element:
 
 def _iterated_comul(model: HopfModel, element: Element, legs: int) -> dict:
     """Spread an element over ``legs`` tensor slots; keys are leg tuples."""
-    if legs == 1:
-        return {(b,): c for b, c in element.items()}
-    current: dict = {}
-    for b, c in element.items():
-        for (left, right), c2 in model.comul(b).items():
-            _lc_add(current, {(left, right): c * c2})
-    for _ in range(legs - 2):
+    current: dict = {(b,): c for b, c in element.items()}
+    for _ in range(legs - 1):
         expanded: dict = {}
         for key, c in current.items():
             head, last = key[:-1], key[-1]
@@ -532,11 +508,9 @@ def hopf_action(f: HMorphism, model: HopfModel, inputs: Sequence) -> dict:
     elements = [_as_element(model, x) for x in inputs]
 
     occurrences: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, f.dom + 1)}
-    exponent_at: dict[tuple[int, int], int] = {}
     for j, w in enumerate(f.words):
-        for p, (index, exponent) in enumerate(w.letters):
+        for p, (index, _) in enumerate(w.letters):
             occurrences[index].append((j, p))
-            exponent_at[(j, p)] = exponent
 
     scalar = Fraction(1)
     spreads: list[tuple[int, dict]] = []
@@ -566,7 +540,7 @@ def hopf_action(f: HMorphism, model: HopfModel, inputs: Sequence) -> dict:
         for j, w in enumerate(f.words):
             value = _word_product(
                 model,
-                [(assignment[(j, p)], exponent_at[(j, p)]) for p in range(len(w.letters))],
+                [(assignment[(j, p)], exponent) for p, (_, exponent) in enumerate(w.letters)],
             )
             word_values.append(value)
         for parts in itertools.product(*(v.items() for v in word_values)):

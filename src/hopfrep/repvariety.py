@@ -134,9 +134,9 @@ class FiniteRepAlgebra:
                 raise ValueError(f"{point} is not a representation point")
 
     def delta(self, point: tuple[int, ...]) -> dict:
-        if point not in self._members:
-            raise ValueError(f"{point} is not a representation point")
-        return {point: Fraction(1)}
+        element = {point: Fraction(1)}
+        self._check(element)
+        return element
 
     def zero(self) -> dict:
         return {}

@@ -15,6 +15,7 @@ from hopfrep.alggroups import (
     LieParseError,
     LiePresentation,
     MissingMatrixShapeError,
+    PresentedCommHopf,
     block_ideal_generators,
     block_ring,
     conjugation_substitution,
@@ -177,6 +178,33 @@ def test_custom_group_json_rejects_matrix_that_is_not_a_representation(tmp_path)
             make_group(str(path))
 
 
+def _one_variable_group(ideal, delta, antipode, counit):
+    ring = ("x",)
+    return PresentedCommHopf(
+        name="custom",
+        variables=ring,
+        defining_ideal=Ideal(ring, tuple(parse_polynomial(g, ring) for g in ideal)),
+        counit=(Fraction(counit),),
+        comultiplication=(parse_polynomial(delta, ("x'", "x''")),),
+        antipode=(parse_polynomial(antipode, ring),),
+        copy_templates=("x{c}",),
+    )
+
+
+@pytest.mark.parametrize(
+    "ideal, delta, antipode, counit, message",
+    [
+        (["x - 1"], "x'*x''", "x", 2, "counit is not a zero"),
+        (["x^2 - 1"], "x'*x''", "x + 1", 1, "antipode does not preserve the ideal"),
+        (["x^2 - 1"], "x' + x''", "x", 1, "comultiplication does not preserve the ideal"),
+        ([], "x' + x''", "x", 0, "antipode axiom fails at x"),
+    ],
+)
+def test_presented_group_is_validated_on_construction(ideal, delta, antipode, counit, message):
+    with pytest.raises(GroupDataError, match=message):
+        _one_variable_group(ideal, delta, antipode, counit)
+
+
 # -- matrix words -------------------------------------------------------------
 
 
@@ -267,6 +295,12 @@ def test_conjugated_entry_not_congruent(sl2):
     extended = q.ring
     conj_gb = groebner(Ideal(extended, tuple(block_ideal_generators(sl2, 0, extended))))
     assert not ideal_member(q - embed(p, extended), conj_gb)
+
+
+def test_conjugation_rejects_a_polynomial_outside_the_copy_blocks(sl2):
+    # The base ring x11..x22 is not the block ring x1_11..x1_22 of copy 1.
+    with pytest.raises(GroupDataError, match="does not live in the copy block ring"):
+        conjugation_substitution(Polynomial.variable(sl2.variables, "x11"), sl2)
 
 
 def test_conjugation_fixes_constants(sl2):

@@ -587,6 +587,50 @@ def test_repeated_target_variable_is_named(tmp_path, z2_file, variables):
     assert err == """error: group JSON: "variables" repeats 'z'\n"""
 
 
+@pytest.mark.parametrize("name", ["a{b}", "2x", "x y", ""])
+def test_unreadable_target_variable_is_named(tmp_path, z2_file, name):
+    path = tmp_path / "unreadable.json"
+    table = {name: 0}
+    path.write_text(
+        json.dumps({"variables": [name], "counit": table, "delta": table, "antipode": table})
+    )
+    code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == (
+        f'error: group JSON: "variables" has {name!r}, which is not a polynomial variable name\n'
+    )
+
+
+@pytest.mark.parametrize("variables", [["u", "u'"], ["u'", "u"]])
+def test_target_variables_whose_primed_copies_collide_are_named(tmp_path, z2_file, variables):
+    path = tmp_path / "primed.json"
+    path.write_text(
+        json.dumps(
+            {
+                "variables": variables,
+                "counit": {"u": 0, "u'": 0},
+                "delta": {"u": "u' + u''", "u'": "u'' + u'''"},
+                "antipode": {"u": "-u", "u'": "-u'"},
+            }
+        )
+    )
+    code, out, err = invoke("rep-ideal", "--group", z2_file, "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: custom: variable u' is also the primed copy of u\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("rep-ideal", "--target", "sl:2", "--group"), ("lie-rep-ideal", "--target", "sl2", "--source")],
+    ids=lambda argv: argv[0],
+)
+def test_repeated_generator_names_exit_two(tmp_path, argv):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"generators": ["a", "a"], "relators": []}))
+    code, out, err = invoke(*argv, str(path))
+    assert (code, out, err) == (2, "", "error: generator names must be distinct\n")
+
+
 @pytest.mark.parametrize("literal", ["1/0", "abc"])
 def test_bad_counit_number_names_file_and_key(tmp_path, literal):
     path = tmp_path / "counit.json"

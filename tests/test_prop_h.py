@@ -12,10 +12,13 @@ from conftest import random_hmorphism, random_term
 from hopfrep.groups import FreeWord, parse_word
 from hopfrep.prop_h import (
     ArityError,
+    Compose,
     Gen,
     GroupAlgebraModel,
     HMorphism,
+    Id,
     LinHom,
+    Tensor,
     TensorAlgebraModel,
     TermSyntaxError,
     compose_h,
@@ -75,6 +78,17 @@ def test_generator_arities_and_unknown_names():
             generator_morphism(name)
         with pytest.raises(ValueError, match="unknown generator"):
             Gen(name)
+
+
+def test_term_arity_is_the_normal_form_arity():
+    assert Tensor(Gen("mu"), Compose(Gen("delta"), Id(1))).arity() == (3, 3)
+    with pytest.raises(ArityError):
+        Compose(Gen("mu"), Gen("mu")).arity()
+    # Deeper than the interpreter's recursion limit: arity walks no recursion.
+    term = Id(1)
+    for _ in range(5000):
+        term = Compose(Gen("antipode"), term)
+    assert term.arity() == (1, 1)
 
 
 def test_compose_delta_mu():
