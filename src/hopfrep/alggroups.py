@@ -266,6 +266,9 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
     ideal.
     """
     ring = group.variables
+    repeated = next((v for i, v in enumerate(ring) if v in ring[:i]), None)
+    if repeated is not None:
+        raise GroupDataError(f"{group.name}: variable {repeated} is repeated")
     clash = next((v for v in ring if v + "'" in ring), None)
     if clash is not None:
         raise GroupDataError(f"{group.name}: variable {clash}' is also the primed copy of {clash}")

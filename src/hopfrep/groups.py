@@ -18,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -496,10 +497,9 @@ def symmetric_group(k: int) -> FiniteGroup:
         raise GroupTableError("symmetric group supported for 1 <= k <= 6")
     elements = sorted(itertools.permutations(range(k)))
     position = {p: i for i, p in enumerate(elements)}
-    table = [
-        [position[tuple(q[p[i]] for i in range(k))] for q in elements]
-        for p in elements
-    ]
+    # Entry (p, q) is q o p = itemgetter(*p)(q), but for k = 1 that is no tuple.
+    compose = [itemgetter(*p) for p in elements] if k > 1 else [tuple]
+    table = [[*map(position.__getitem__, map(get, elements))] for get in compose]
     return FiniteGroup.from_table(table, [_cycle_notation(p) for p in elements])
 
 

@@ -24,9 +24,9 @@ smallest that holds a degree bound on every monomial the computation can
 form: ``deg a + deg b`` for a product, ``k * deg a`` for a k-th power,
 and for `fold_substitute` (`substitute` is one step of it) the largest
 ``sum(e[i] * deg(value[i]))`` at every step of the fold, not only the
-last, since a map need not raise degree monotonically.  Groebner's
-S-polynomials need no product: that of two monic elements is their tails
-shifted up to the lcm of their leading monomials.
+last, since a map need not raise degree monotonically.  `groebner` and
+`normal_form` keep every monomial packed from input to output, a guard
+bit atop each field, and rerun in wider fields on overflow (`_Packing`).
 """
 
 from __future__ import annotations
@@ -35,10 +35,9 @@ import re
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from operator import add, getitem, le, mul, sub
+from operator import getitem, mul
 from typing import IO, Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -66,43 +65,8 @@ class PolynomialParseError(ValueError):
         self.column = column
 
 
-def _grevlex_key(e: Exponents) -> tuple:
-    return (sum(e), tuple(-x for x in reversed(e)))
-
-
-def _lex_key(e: Exponents) -> tuple:
-    return e
-
-
-# Polynomial.terms is kept in descending order of this key.
-_CANONICAL_KEY = _grevlex_key
-
-
-def monomial_key(order: str) -> Callable[[Exponents], tuple]:
-    """Sort key for the given monomial order; larger key means larger monomial.
-
-    ``grevlex`` compares total degree first and breaks ties so that the
-    monomial whose rightmost differing exponent is *smaller* wins; ``lex``
-    is plain dictionary order on exponent tuples.
-    """
-    if order == GREVLEX:
-        return _CANONICAL_KEY
-    if order == LEX:
-        return _lex_key
-    raise ValueError(f"unknown monomial order {order!r}")
-
-
 def _grevlex_heap_key(e: Exponents) -> tuple:
     return (-sum(e), e[::-1])
-
-
-def _lex_heap_key(e: Exponents) -> tuple:
-    return tuple(-x for x in e)
-
-
-# Reversed sort keys: a smaller heap key means a larger monomial, so a
-# ``heapq`` min-heap pops the largest monomial first.
-_HEAP_KEYS = {GREVLEX: _grevlex_heap_key, LEX: _lex_heap_key}
 
 
 def _exact(value) -> Coefficient:
@@ -346,14 +310,20 @@ def _packing(width: int, bound: int) -> tuple[Callable, Callable]:
 
 
 @lru_cache(maxsize=None)
-def _packer(width: int, size: int, code: str) -> tuple[Callable, Callable]:
-    # A trailing pad byte keeps the layout non-empty, as `iter_unpack` needs,
-    # in a ring with no variables; it is the top byte of every packed value, 0.
+def _packer(width: int, size: int, code: str, lex: bool = False) -> tuple[Callable, Callable]:
+    # A pad byte keeps the layout non-empty, as `iter_unpack` needs, in a ring
+    # with no variables; it is the top byte of every packed value, 0.
+    nbytes = size * width + 1
+    from_bytes = int.from_bytes
+    if lex:  # `_Packing`'s lex packing: the first variable in the top field
+        layout = struct.Struct(f">x{width}{code}")
+        return (
+            lambda e: from_bytes(layout.pack(*e), "big"),
+            lambda keys: layout.iter_unpack(b"".join([k.to_bytes(nbytes, "big") for k in keys])),
+        )
     layout = struct.Struct(f"<{width}{code}x")
     shift = 8 * size * width
     mask = (1 << shift) - 1
-    nbytes = size * width + 1
-    from_bytes = int.from_bytes
 
     def pack(e: Exponents) -> int:
         return (sum(e) << shift) - from_bytes(layout.pack(*e), "little")
@@ -495,91 +465,153 @@ class GroebnerBasis:
         return self.ideal.ring
 
 
-def _leading(p: Polynomial, key) -> tuple[Exponents, Coefficient]:
-    if key is _CANONICAL_KEY:
-        return p.terms[0]
-    return max(p.terms, key=lambda term: key(term[0]))
+class _Overflow(Exception):
+    """A monomial of a packed Groebner computation outgrew its fields."""
 
 
-def _monic(p: Polynomial, key) -> Polynomial:
-    lc = _leading(p, key)[1]
-    return p if lc == 1 else p * Fraction(1, lc)
+class _Packing:
+    """One integer per monomial for `groebner` and `normal_form`, in fields of B bits.
 
-
-def _divides(a: Exponents, b: Exponents) -> bool:
-    return all(map(le, a, b))
-
-
-def _lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(map(max, a, b))
-
-
-# ``sum(compress(_BITS, e))`` sets bit i when variable i occurs in ``e``.  Masks
-# cover the first 64 variables; `_divides` still decides divisibility.
-_BITS = [1 << i for i in range(64)]
-
-
-def _prepare(g: Polynomial, key) -> tuple:
-    """``(lm, lm mask, lc, tail)`` of a divisor."""
-    lm, lc = _leading(g, key)
-    return lm, sum(compress(_BITS, lm)), lc, tuple(t for t in g.terms if t[0] != lm)
-
-
-def normal_form(p: Polynomial, divisors: Sequence[Polynomial], order: str = GREVLEX) -> Polynomial:
-    """Remainder of full multivariate division of ``p`` by ``divisors``.
-
-    Every term of the result is irreducible: divisible by no divisor's
-    leading monomial.  Divisors are tried in the given order, so the
-    output is deterministic for a fixed sequence.
+    Grevlex uses the product kernel's packing, lex ``sum(e[i] << B*(n-1-i))``
+    with no degree field; either way descending integer order is the
+    monomial order and a product of monomials is a sum.  Every exponent (in
+    grevlex every degree) stays below ``2**(B-1)``, so the top bit of each
+    field is a guard.  On the plain fields (``-k & mask`` in grevlex, ``k``
+    in lex) ``a`` divides ``b`` iff ``(b - a) & guards`` is 0.  A lex
+    monomial that sets a guard, or a grevlex lcm above ``limit``, raises
+    `_Overflow`.
     """
-    if not divisors:
-        return p
-    key = monomial_key(order)
-    heap_key = _HEAP_KEYS[order]
-    if not isinstance(divisors, dict):  # `groebner` keeps its divisors prepared, by index
-        divisors = dict(enumerate(_prepare(g, key) for g in divisors if not g.is_zero()))
-    work = dict(p.terms)
+
+    def __init__(self, width: int, size: int, code: str, order: str) -> None:
+        bits, lex = 8 * size, order == LEX
+        self.lex, (self.pack, self.unpack) = lex, _packer(width, size, code, lex)
+        shift = bits * width
+        self.mask = (1 << shift) - 1
+        ones = sum(1 << bits * i for i in range(width))  # a degree: top field of fields * ones
+        guards = self.guards = ones << bits - 1
+        self.overflow = guards if lex else 0
+        self.limit = self.mask if lex else ((1 << bits - 1) - 1) << shift
+        top, field = bits * max(width - 1, 0), (1 << bits) - 1
+
+        def lcm(a: int, b: int) -> tuple[int, int]:
+            """``(packed, plain fields)`` of the lcm of plain fields ``a`` and ``b``."""
+            t = ((a | guards) - b) & guards  # the guard of each field where a >= b
+            m = t - (t >> bits - 1)
+            low = (a & m) | (b & ~m)
+            return (low if lex else (((low * ones) >> top & field) << shift) - low), low
+
+        self.lcm = lcm
+
+    def terms(self, p: Polynomial) -> list[tuple[int, Coefficient]]:
+        return sorted(_packed(p, self.pack), reverse=True)
+
+    def polynomial(self, ring: Ring, terms) -> Polynomial:
+        if self.lex:
+            exponents = self.unpack([k for k, _ in terms])
+            return Polynomial.from_dict(ring, dict(zip(exponents, [c for _, c in terms])))
+        return _unpacked(ring, dict(terms), self.unpack)
+
+    def prepare(self, terms) -> tuple:
+        """``(lm plain fields, lm, lc, tail)`` of a divisor's packed ``terms``, largest first."""
+        lm, lc = terms[0]
+        return (lm if self.lex else -lm & self.mask), lm, lc, terms[1:]
+
+
+def _packed_run(width: int, order: str, degree: int, run: Callable):
+    """``run(packing)`` in the narrowest fields that hold ``degree``, wider after an overflow."""
+    # Lex starts at 16 bits: its reductions raise exponents far past the input's.
+    for size, code in _FIELDS[order == LEX :]:
+        if degree >> 8 * size - 1 == 0:
+            try:
+                return run(_Packing(width, size, code, order))
+            except _Overflow:
+                pass
+    raise ValueError("a Groebner computation outgrew 63-bit exponents")
+
+
+@dataclass(slots=True)
+class _Packed:
+    """A polynomial inside `groebner`: its packed terms and their `_Packing`."""
+
+    terms: list
+    packing: _Packing
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+def _monic(terms: list) -> list:
+    inverse = _exact(Fraction(1, terms[0][1]))
+    return [(k, _exact(c * inverse)) for k, c in terms]
+
+
+def _reduce(terms, divisors, packing: _Packing) -> list:
+    """Packed remainder of ``terms`` by prepared ``divisors``, largest first."""
+    guards, mask, lex, overflow = packing.guards, packing.mask, packing.lex, packing.overflow
+    work = dict(terms)
     # Each monomial is pushed once, when it enters ``work``.  A step only adds
     # monomials below the one it reduces, so a popped monomial never comes
     # back; one that cancels keeps its zero in ``work`` and is skipped when
     # popped, and one that cancels and re-enters needs no second push.
-    pending = [(heap_key(e), e) for e in work]
+    pending = [-k for k in work]
     heapify(pending)
-    remainder: dict[Exponents, Coefficient] = {}
+    remainder = []
     while pending:
-        exponents = heappop(pending)[1]
-        coeff = work.pop(exponents)
+        k = -heappop(pending)
+        coeff = work.pop(k)
         if not coeff:
             continue
-        absent = ~sum(compress(_BITS, exponents))
-        for lm, mask, lc, tail in divisors.values():
-            if not mask & absent and _divides(lm, exponents):
-                shift = tuple(map(sub, exponents, lm))
+        low = k if lex else -k & mask
+        for d, lm, lc, tail in divisors:
+            if not (low - d) & guards:
+                shift = k - lm
                 factor = coeff if lc == 1 else Fraction(coeff, lc)
-                for te, tc in tail:
-                    moved = tuple(map(add, te, shift))
+                for t, c in tail:
+                    moved = t + shift
                     previous = work.get(moved)
                     if previous is None:
-                        work[moved] = -factor * tc
-                        heappush(pending, (heap_key(moved), moved))
+                        if moved & overflow:
+                            raise _Overflow
+                        work[moved] = -factor * c
+                        heappush(pending, -moved)
                     else:
-                        work[moved] = previous - factor * tc
+                        work[moved] = previous - factor * c
                 break
         else:
-            remainder[exponents] = coeff
-    return Polynomial.from_dict(p.ring, remainder)
+            remainder.append((k, coeff))
+    return remainder
 
 
-def _s_polynomial(ring: Ring, f: tuple, g: tuple, lcm: Exponents) -> Polynomial:
+def normal_form(p: Polynomial | _Packed, divisors, order: str = GREVLEX) -> Polynomial | _Packed:
+    """Remainder of full multivariate division of ``p`` by ``divisors``.
+
+    Every term of the result is irreducible: divisible by no divisor's
+    leading monomial.  Divisors are tried in the given order, so the
+    output is deterministic for a fixed sequence.  Inside `groebner`, ``p``
+    and the result are `_Packed` and ``divisors`` maps indices to prepared
+    divisors.
+    """
+    if type(p) is _Packed:
+        return _Packed(_reduce(p.terms, divisors.values(), p.packing), p.packing)
+    divisors = [g for g in divisors if not g.is_zero()]
+
+    def run(packing: _Packing) -> Polynomial:
+        prepared = [packing.prepare(packing.terms(g)) for g in divisors]
+        return packing.polynomial(p.ring, _reduce(packing.terms(p), prepared, packing))
+
+    return _packed_run(len(p.ring), order, max(_degrees([p, *divisors])), run)
+
+
+def _s_polynomial(f: tuple, g: tuple, lcm: int, packing: _Packing) -> _Packed:
     """S-polynomial of two prepared monic divisors: their tails shifted up to ``lcm``."""
-    (lf, _, _, tail_f), (lg, _, _, tail_g) = f, g
-    shift = tuple(map(sub, lcm, lf))
-    acc = {tuple(map(add, e, shift)): c for e, c in tail_f}
-    shift = tuple(map(sub, lcm, lg))
-    for e, c in tail_g:
-        moved = tuple(map(add, e, shift))
+    (_, lf, _, tail_f), (_, lg, _, tail_g) = f, g
+    acc = {t + lcm - lf: c for t, c in tail_f}
+    for t, c in tail_g:
+        moved = t + lcm - lg
         acc[moved] = acc.get(moved, 0) - c
-    return Polynomial.from_dict(ring, acc)
+    if lcm > packing.limit or packing.overflow and any(k & packing.overflow for k in acc):
+        raise _Overflow
+    return _Packed([t for t in acc.items() if t[1]], packing)
 
 
 # When set, `groebner` writes one line of stats here per basis (``--verbose``).
@@ -591,68 +623,75 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
 
     Buchberger's algorithm with the Gebauer–Möller pair update (Becker and
     Weispfenning's UPDATE), followed by minimalization and full tail
-    reduction.  Basis elements are monic and sorted with the largest
-    leading monomial first.  ``stats`` counts every `normal_form` call as a
-    reduction; its maxima run over every element that entered the divisor set.
+    reduction, on packed monomials from start to end (`_Packing`; a run
+    that outgrows its fields starts again with wider ones).  Basis elements
+    are monic and sorted with the largest leading monomial first.
+    ``stats`` counts every `normal_form` call as a reduction; its maxima
+    run over every element that entered the divisor set.
     """
     if order not in MONOMIAL_ORDERS:
         raise ValueError(f"unknown monomial order {order!r}")
-    key = monomial_key(order)
+    generators = [g for g in ideal.generators if not g.is_zero()]
+    run = partial(_buchberger, ideal, order, generators)
+    return _packed_run(len(ideal.ring), order, max(_degrees(generators), default=0), run)
+
+
+def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -> GroebnerBasis:
+    guards, lcm = packing.guards, packing.lcm
     names = ("pairs", "product_skips", "gm_skips", "reductions", "zero_reductions", "peak_divisors")
     count = dict.fromkeys(names, 0)
-    basis: list[Polynomial] = []  # every element ever added, monic, by index
+    basis: list[list] = []  # every element ever added, monic, by index
     # Every element's prepared tuple: a queued pair can outlive its elements'
     # membership in the divisor set.
     prepared: list[tuple] = []
     members: dict[int, tuple] = {}  # the divisor set
-    # Pairs pop in order of (key(lcm), (i, j)); the lcm rides along.
+    # Pairs pop in order of (lcm, i, j); the lcm's plain fields ride along.
     pairs: list[tuple] = []
-    incoming = [_monic(g, key) for g in reversed(ideal.generators) if not g.is_zero()]
+    incoming = [_monic(packing.terms(g)) for g in reversed(generators)]
     while incoming or pairs:
         if incoming:
             h = incoming.pop()
         else:
-            _, (i, j), m = heappop(pairs)
-            r = normal_form(_s_polynomial(ideal.ring, prepared[i], prepared[j], m), members, order)
+            m, i, j, _ = heappop(pairs)
+            r = normal_form(_s_polynomial(prepared[i], prepared[j], m, packing), members, order)
             count["reductions"] += 1
             if r.is_zero():
                 count["zero_reductions"] += 1
                 continue
-            h = _monic(r, key)
-        new, d = len(basis), _prepare(h, key)
-        lm = d[0]
+            h = _monic(r.terms)
+        new, d = len(basis), packing.prepare(h)
+        lm = d[0]  # the plain fields of lm(h)
         basis.append(h)
         prepared.append(d)
         # Gebauer–Möller.  An old pair goes if lm divides its lcm, unless the
         # lcm is also that of one of its elements with h.
         queued = len(pairs)
         pairs = [
-            (sort_key, (i, j), m)
-            for sort_key, (i, j), m in pairs
-            if not _divides(lm, m) or m in (_lcm(prepared[i][0], lm), _lcm(prepared[j][0], lm))
+            (m, i, j, low) for m, i, j, low in pairs
+            if (low - lm) & guards
+            or low in (lcm(prepared[i][0], lm)[1], lcm(prepared[j][0], lm)[1])
         ]
         heapify(pairs)
         count["gm_skips"] += queued - len(pairs)
         # A new pair goes if another new pair's lcm divides its own; of equal
         # lcms one stays, a coprime one if there is one.  Smallest lcm first, so
         # only kept pairs need checking.  Coprime survivors prune, then go.
-        lcms = {i: _lcm(prepared[i][0], lm) for i in members}
         fresh = sorted(
-            (key(m), m != tuple(map(add, prepared[i][0], lm)), i, m) for i, m in lcms.items()
+            (m, low != p[0] + lm, i, low) for i, p in members.items() for m, low in [lcm(p[0], lm)]
         )
         count["pairs"] += len(fresh)
-        kept: list[Exponents] = []
-        for sort_key, shares, i, m in fresh:
-            if any(_divides(other, m) for other in kept):
+        kept: list[int] = []
+        for m, shares, i, low in fresh:
+            if any(not (low - other) & guards for other in kept):
                 count["gm_skips"] += 1
                 continue
-            kept.append(m)
+            kept.append(low)
             if shares:
-                heappush(pairs, (sort_key, (i, new), m))
+                heappush(pairs, (m, i, new, low))
             else:
                 count["product_skips"] += 1
         # Elements whose leading monomial lm divides leave the divisor set.
-        members = {i: p for i, p in members.items() if not _divides(lm, p[0])}
+        members = {i: p for i, p in members.items() if (p[0] - lm) & guards}
         members[new] = d
         count["peak_divisors"] = max(count["peak_divisors"], len(members))
 
@@ -660,22 +699,24 @@ def groebner(ideal: Ideal, order: str = GREVLEX) -> GroebnerBasis:
     # divides, then tail-reduce each element against the others in one pass.
     keep = [
         i for i in members
-        if not any(_divides(prepared[j][0], prepared[i][0]) for j in members if j < i)
+        if all((prepared[i][0] - prepared[j][0]) & guards for j in members if j < i)
     ]
     reduced = [
-        _monic(normal_form(basis[i], {j: members[j] for j in keep if j != i}, order), key)
+        normal_form(_Packed(basis[i], packing), {j: members[j] for j in keep if j != i}, order)
         for i in keep
     ]
     count["reductions"] += len(keep)
-    reduced.sort(key=lambda g: key(_leading(g, key)[0]), reverse=True)
-    count["max_degree"] = max((g.total_degree() for g in basis), default=0)
-    count["max_terms"] = max((len(g.terms) for g in basis), default=0)
-    sizes = [x.bit_length() for g in basis for _, c in g.terms for x in c.as_integer_ratio()]
+    reduced = sorted((_monic(r.terms) for r in reduced), key=lambda t: t[0][0], reverse=True)
+    monomials = packing.unpack([k for terms in basis for k, _ in terms])
+    count["max_degree"] = max(map(sum, monomials), default=0)
+    count["max_terms"] = max(map(len, basis), default=0)
+    sizes = [x.bit_length() for terms in basis for _, c in terms for x in c.as_integer_ratio()]
     count["max_coeff_bits"] = max(sizes, default=0)
     if stats_stream is not None:
         line = " ".join(f"{k}={v}" for k, v in count.items())
         print(f"groebner {order}, {len(ideal.ring)} variables: {line}", file=stats_stream)
-    return GroebnerBasis(ideal=ideal, order=order, basis=tuple(reduced), stats=count)
+    basis_out = tuple(packing.polynomial(ideal.ring, terms) for terms in reduced)
+    return GroebnerBasis(ideal=ideal, order=order, basis=basis_out, stats=count)
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:

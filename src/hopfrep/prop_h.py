@@ -33,6 +33,10 @@ class TermSyntaxError(ValueError):
     """Malformed generator-term text."""
 
 
+class BasisLabelError(ValueError):
+    """A basis label that is not one of the model's."""
+
+
 # ---------------------------------------------------------------------------
 # Morphisms in normal form
 # ---------------------------------------------------------------------------
@@ -411,6 +415,10 @@ class GroupAlgebraModel:
     def counit(self, a: int) -> Fraction:
         return Fraction(1)
 
+    def check(self, a) -> None:
+        if type(a) is not int or not 0 <= a < self.group.order:
+            raise BasisLabelError(f"group element {a!r} is not in 0..{self.group.order - 1}")
+
 
 @dataclass(frozen=True)
 class TensorAlgebraModel:
@@ -457,14 +465,20 @@ class TensorAlgebraModel:
     def counit(self, a: tuple) -> Fraction:
         return Fraction(1) if a == () else Fraction(0)
 
+    def check(self, a) -> None:
+        g, t = self.generators, self.truncation
+        if type(a) is not tuple or len(a) > t or not all(type(i) is int and 1 <= i <= g for i in a):
+            raise BasisLabelError(f"tensor word {a!r} is not a tuple over 1..{g} of length <= {t}")
+
 
 HopfModel = Union[GroupAlgebraModel, TensorAlgebraModel]
 
 
 def _as_element(model: HopfModel, value) -> Element:
-    if isinstance(value, dict):
-        return dict(value)
-    return {value: Fraction(1)}
+    element = dict(value) if isinstance(value, dict) else {value: Fraction(1)}
+    for label in element:
+        model.check(label)
+    return element
 
 
 def _iterated_comul(model: HopfModel, element: Element, legs: int) -> dict:

@@ -205,6 +205,22 @@ def test_presented_group_is_validated_on_construction(ideal, delta, antipode, co
         _one_variable_group(ideal, delta, antipode, counit)
 
 
+def test_presented_group_refuses_a_repeated_variable():
+    ring = ("u", "u")
+    doubled = ("u'", "u'", "u''", "u''")
+    delta = parse_polynomial("u' + u''", doubled)
+    with pytest.raises(GroupDataError, match="variable u is repeated"):
+        PresentedCommHopf(
+            name="custom",
+            variables=ring,
+            defining_ideal=Ideal(ring, ()),
+            counit=(Fraction(0), Fraction(0)),
+            comultiplication=(delta, delta),
+            antipode=(parse_polynomial("-u", ring),) * 2,
+            copy_templates=("u{c}", "u{c}"),
+        )
+
+
 # -- matrix words -------------------------------------------------------------
 
 

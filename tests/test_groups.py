@@ -151,6 +151,16 @@ def test_symmetric_three():
     assert s3.names[s3.identity] == "e"
 
 
+def test_symmetric_table_is_the_composition_table():
+    # Entry (p, q) is "p then q": position i of the product is q[p[i]].
+    for k in range(1, 6):
+        group = symmetric_group(k)
+        elements = sorted(itertools.permutations(range(k)))
+        position = {p: i for i, p in enumerate(elements)}
+        expected = [[position[tuple(q[p[i]] for i in range(k))] for q in elements] for p in elements]
+        assert group.table == tuple(map(tuple, expected))
+
+
 def test_invalid_tables_rejected():
     with pytest.raises(GroupTableError):
         # left-to-right composition table that is not associative

@@ -23,7 +23,6 @@ from hopfrep.polyalg import (
     groebner,
     ideal_member,
     linear_kernel,
-    monomial_key,
     normal_form,
     parse_polynomial,
 )
@@ -124,7 +123,7 @@ def test_substitute_then_evaluate_is_evaluate_at_the_images(p, images, point):
 @given(st.dictionaries(_exponents, st.one_of(st.just(Fraction(0)), _kernel_coeffs), max_size=8))
 def test_from_dict_terms_strictly_descend_in_grevlex(mapping):
     p = Polynomial.from_dict(RING, mapping)
-    keys = [monomial_key(GREVLEX)(e) for e, _ in p.terms]
+    keys = [_order_key(GREVLEX)(e) for e, _ in p.terms]
     assert all(a > b for a, b in zip(keys, keys[1:]))
     assert dict(p.terms) == {e: c for e, c in mapping.items() if c}
 
@@ -449,7 +448,7 @@ def test_groebner_idempotent_and_sound():
             assert again.basis == gb.basis
             for g in ideal.generators:
                 assert ideal_member(g, gb)
-            key = monomial_key(order)
+            key = _order_key(order)
             # every pair's S-polynomial reduces to zero; the basis is monic
             for f, g in itertools.combinations(gb.basis, 2):
                 lf, lg = (max((e for e, _ in h.terms), key=key) for h in (f, g))
@@ -638,6 +637,82 @@ def test_stats_by_hand_and_left_out_of_equality():
     gb = groebner(Ideal(RING, (X**2 - 1, X - 1)))
     assert gb.basis == (X - 1,)
     assert gb.stats["peak_divisors"] == 1
+
+
+# -- the packed Groebner kernel ---------------------------------------------
+#
+# `groebner` and `normal_form` keep every monomial as one integer, with a
+# guard bit atop each field.  The references are tuple definitions written here.
+
+
+def _tuple_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _tuple_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+@pytest.mark.parametrize("size, code", [(1, "B"), (2, "H")])
+@pytest.mark.parametrize("order", [GREVLEX, LEX])
+def test_packed_divisibility_lcm_and_order_agree_with_tuples(order, size, code):
+    rng = random.Random(14)
+    width, bound = 4, 1 << 8 * size - 1  # every exponent, in grevlex every degree, below bound
+    packing = polyalg._Packing(width, size, code, order)
+    key = _order_key(order)
+
+    def fields(e):  # the plain fields of a packed monomial
+        return packing.prepare([(packing.pack(e), 1)])[0]
+
+    def draw():
+        top = rng.choice((3, bound))  # small exponents make divisibility common
+        while True:
+            e = tuple(rng.randrange(top) for _ in range(width))
+            if order == LEX or sum(e) < bound:
+                return e
+
+    edges = [(bound - 1, 0, 0, 0), (0, 0, 0, bound - 1), (0, 0, 0, 0)]
+    if order == LEX:
+        edges.append((bound - 1,) * width)
+    monomials = edges + [draw() for _ in range(300)]
+    for a, b in itertools.product(monomials[:40], monomials):
+        ka, kb = packing.pack(a), packing.pack(b)
+        assert list(packing.unpack([ka])) == [a]
+        assert (ka < kb) == (key(a) < key(b)) and (ka == kb) == (a == b)
+        assert (not (fields(b) - fields(a)) & packing.guards) == _tuple_divides(a, b)
+        lcm = _tuple_lcm(a, b)
+        assert packing.lcm(fields(a), fields(b)) == (packing.pack(lcm), fields(lcm))
+        # A product of monomials is a sum; one that outgrows the fields is caught.
+        product = tuple(map(sum, zip(a, b)))
+        if order == LEX:
+            assert bool((ka + kb) & packing.overflow) == (max(product) >= bound)
+        else:
+            assert (ka + kb > packing.limit) == (sum(product) >= bound)
+        if max(product) < bound and (order == LEX or sum(product) < bound):
+            assert ka + kb == packing.pack(product)
+
+
+def test_groebner_reruns_in_wider_fields():
+    # Under their guard bits the grevlex generators fit 8-bit fields and the
+    # lex ones 16-bit fields, where lex starts.  An lcm of degree 200 (grevlex)
+    # and a reduction to y^40000 (lex) outgrow them, so the run starts again in
+    # wider fields.  The stats are those the tuple engine reported for the
+    # same ideals.
+    names = ["pairs", "product_skips", "gm_skips", "reductions", "zero_reductions"]
+    names += ["peak_divisors", "max_degree", "max_terms", "max_coeff_bits"]
+    cases = [
+        (GREVLEX, ["x^100*y - z", "x*y^100 - z"], [6, 0, 2, 8, 2, 4, 200, 2, 1]),
+        (LEX, ["x - y^2", "x^20000 - 1"], [3, 1, 1, 3, 0, 3, 40000, 2, 1]),
+    ]
+    for order, texts, expected in cases:
+        ideal = Ideal(RING, tuple(P(t) for t in texts))
+        gb = groebner(ideal, order)
+        assert dict(gb.stats) == dict(zip(names, expected))
+        _assert_groebner_certificate(ideal, gb)
+    assert [str(g) for g in gb.basis] == ["-y^2 + x", "y^40000 - 1"]
+    assert normal_form(P("x^20000"), [P("x - y^2")], LEX) == P("y^40000")
+    with pytest.raises(ValueError, match="63-bit"):
+        groebner(Ideal(RING, (X ** (2**63) - 1,)))
 
 
 # -- linear algebra ---------------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import random_hmorphism, random_term
 from hopfrep.groups import FreeWord, parse_word
 from hopfrep.prop_h import (
     ArityError,
+    BasisLabelError,
     Compose,
     Gen,
     GroupAlgebraModel,
@@ -232,6 +233,21 @@ def test_tensor_model_square_word():
 def test_hopf_action_arity_check(s3):
     with pytest.raises(ArityError):
         hopf_action(generator_morphism("mu"), GroupAlgebraModel(s3), [0])
+
+
+def test_hopf_action_refuses_labels_outside_the_model(s3):
+    # Python's negative indexing once read -1 as the last group element.
+    mu = generator_morphism("mu")
+    for labels in ([-1, 0], [0, 6], [0, True], [{0: 1, 2.0: 1}, 0]):
+        with pytest.raises(BasisLabelError):
+            hopf_action(mu, GroupAlgebraModel(s3), labels)
+    model = TensorAlgebraModel(2, 2)
+    for word in [(5,), (0,), (1, 1, 1), ("1",), 1]:
+        with pytest.raises(BasisLabelError):
+            hopf_action(mu, model, [{word: Fraction(1)}, model.generator(1)])
+    assert hopf_action(mu, model, [model.generator(2), {(): Fraction(1), (1, 2): 3}]) == {
+        ((2,),): Fraction(1)
+    }
 
 
 def test_delta_action_correlates_legs():
