@@ -515,7 +515,8 @@ def hopf_action(f: HMorphism, model: HopfModel, inputs: Sequence) -> dict:
     occurrence of its letter across all output words (its counit scalar
     if it never occurs), legs in negative-exponent positions pass through
     the antipode, and each output word multiplies its slots in order.
-    The result maps cod-tuples of basis labels to coefficients.
+    The result maps cod-tuples of basis labels to coefficients.  An input
+    label outside the model raises `BasisLabelError`.
     """
     if len(inputs) != f.dom:
         raise ArityError(f"morphism with domain {f.dom} got {len(inputs)} inputs")
