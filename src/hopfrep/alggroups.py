@@ -16,13 +16,12 @@ the concrete form of the iterated tensor power of the coordinate ring.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .groups import FreeWord, JsonObject, to_postfix
+from .groups import FreeWord, JsonObject, ParseError, to_postfix, tokenize
 from .polyalg import (
     GREVLEX,
     VARIABLE_NAME,
@@ -376,8 +375,9 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
 
 
 def _torus_group(k: int) -> PresentedCommHopf:
-    if k < 1:
-        raise GroupDataError("torus rank must be at least 1")
+    # Building grows about 6x per doubling of k; the cap matches abelian:d.
+    if not 1 <= k <= 8:
+        raise GroupDataError("torus supported for 1 <= k <= 8")
     if k == 1:
         variables: tuple[str, ...] = ("z", "t")
         templates: tuple[str, ...] = ("z{c}", "t{c}")
@@ -489,8 +489,8 @@ def _shipped_group(text: str) -> PresentedCommHopf:
 def make_group(spec) -> PresentedCommHopf:
     """Build a presented group from a spec string.
 
-    ``gl:m`` / ``sl:m`` (m <= 3), ``torus:k``, ``ga``, or a path to a JSON
-    file with the full presentation schema.
+    ``gl:m`` / ``sl:m`` (m <= 3), ``torus:k`` (k <= 8), ``ga``, or a path to
+    a JSON file with the full presentation schema.
     """
     if isinstance(spec, PresentedCommHopf):
         return spec
@@ -652,11 +652,11 @@ class LiePresentation:
         return LiePresentation(generators, relators)
 
 
-class LieParseError(ValueError):
-    pass
+class LieParseError(ParseError):
+    """Malformed Lie relator text, or a fault in a Lie presentation JSON."""
 
 
-_LIE_TOKEN = re.compile(r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[][(),*+-]")
+_LIE_TOKEN = r"\d+/\d+|\d+|[A-Za-z_][A-Za-z0-9_]*|[][(),*+-]"
 _LIE_PRECEDENCES = {"+": 1, "-": 1, "*": 2}
 _LIE_BINARY = ("+", "-", "*", "[]")
 
@@ -671,42 +671,39 @@ def parse_lie_expr(text: str, names: Sequence[str]) -> tuple:
     is the postfix token tuple that `evaluate_lie_expr` reads, numbers as
     Fractions.
     """
-    tokens = _LIE_TOKEN.findall(text)
-    if "".join(tokens) != text.replace(" ", ""):
-        raise LieParseError(f"unrecognized characters in {text!r}")
-    infix: list[str] = []
-    for token in tokens:
-        after_number = bool(infix) and infix[-1][0].isdigit()
+    infix: list[tuple[str, int]] = []
+    for token, column in tokenize(text, _LIE_TOKEN, LieParseError):
+        after_number = bool(infix) and infix[-1][0][0].isdigit()
         if token == "*" and not after_number:
-            raise LieParseError("'*' must follow a coefficient")
+            raise LieParseError("'*' must follow a coefficient", column)
         if after_number and token not in ("+", "-", "*", ",", ")", "]"):
-            infix.append("*")  # a juxtaposed coefficient: ``3 a``
-        infix.append(token)
-    postfix: list = []
-    for token in to_postfix(infix, _LIE_PRECEDENCES, LieParseError):
-        if token[0].isdigit():
-            try:
-                token = Fraction(token)
-            except ZeroDivisionError:
-                raise LieParseError(f"zero denominator in {token!r}")
-        elif token == "u+":  # a prefix plus changes nothing
-            continue
-        elif token != "u-" and token not in _LIE_BINARY and token not in names:
-            raise LieParseError(f"unknown generator {token!r}")
-        postfix.append(token)
+            infix.append(("*", column))  # a juxtaposed coefficient: ``3 a``
+        infix.append((token, column))
     # Coefficients (True) may only scale elements (False) from the left.  A
     # signed coefficient never reaches an operator: ``-3*a`` signs the product.
+    postfix: list = []
     kinds: list[bool] = []
-    for token in postfix:
+    for token, column in to_postfix(infix, _LIE_PRECEDENCES, LieParseError):
         if token in _LIE_BINARY:
             right = kinds.pop()
             if right or kinds[-1] != (token == "*"):
-                raise LieParseError(f"bad operands for {token!r}")
+                raise LieParseError(f"bad operands for {token!r}", column)
             kinds[-1] = False
+        elif token[0].isdigit():
+            try:
+                token, number_at = Fraction(token), column
+            except ZeroDivisionError:
+                raise LieParseError(f"zero denominator in {token!r}", column) from None
+            kinds.append(True)
+        elif token == "u+":  # a prefix plus changes nothing
+            continue
         elif token != "u-":
-            kinds.append(isinstance(token, Fraction))
+            if token not in names:
+                raise LieParseError(f"unknown generator {token!r}", column)
+            kinds.append(False)
+        postfix.append(token)
     if kinds[0]:
-        raise LieParseError("a coefficient alone is not an element")
+        raise LieParseError("a coefficient alone is not an element", number_at)
     return tuple(postfix)
 
 

@@ -124,8 +124,8 @@ def _cmd_normalize(args, out: IO[str]) -> int:
 
 
 def _cmd_reduce(args, out: IO[str]) -> int:
-    if args.n < 0:
-        raise CliError("--n must be non-negative")
+    if not 0 <= args.n <= groups.SIZE_LIMIT:
+        raise CliError(f"--n {args.n} is outside 0..{groups.SIZE_LIMIT}")
     names = [f"x{i}" for i in range(1, args.n + 1)]
     word = groups.parse_word(args.word, names)
     morphism = prop_h.HMorphism(args.n, 1, (word,))

@@ -35,6 +35,19 @@ class WordParseError(ValueError):
     """Malformed word text; carries the offending token."""
 
 
+class ParseError(ValueError):
+    """Malformed input text; carries the 1-based column of the fault when known."""
+
+    def __init__(self, message: str, column: int | None = None) -> None:
+        super().__init__(message if column is None else f"column {column}: {message}")
+        self.column = column
+
+
+# The largest word length, rank or identity width read from text; a larger
+# one is refused before anything of that size is built.
+SIZE_LIMIT = 10**6
+
+
 # ---------------------------------------------------------------------------
 # Free words
 # ---------------------------------------------------------------------------
@@ -152,6 +165,8 @@ def parse_word(text: str, names: Sequence[str]) -> FreeWord:
         if name not in positions:
             raise WordParseError(f"unknown generator {name!r}")
         exponent = int(match.group("exp")) if match.group("exp") else 1
+        if len(letters) + abs(exponent) > SIZE_LIMIT:
+            raise WordParseError(f"{token!r} makes the word longer than {SIZE_LIMIT} letters")
         sign = 1 if exponent > 0 else -1
         letters.extend(((positions[name], sign),) * abs(exponent))
     return FreeWord(rank, tuple(letters))
@@ -159,8 +174,6 @@ def parse_word(text: str, names: Sequence[str]) -> FreeWord:
 
 def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
     """Render a word with runs collapsed (``x1^2 x2^-1``); identity prints as ``e``."""
-    if names is None:
-        names = [f"x{i}" for i in range(1, word.rank + 1)]
     if not word.letters:
         return "e"
     runs: list[tuple[int, int]] = []
@@ -169,9 +182,9 @@ def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
             runs[-1] = (index, runs[-1][1] + exponent)
         else:
             runs.append((index, exponent))
-    return " ".join(
-        names[i - 1] if e == 1 else f"{names[i - 1]}^{e}" for i, e in runs
-    )
+    # Each letter is named as it is printed, so the cost follows the word, not the rank.
+    letters = (f"x{i}" if names is None else names[i - 1] for i, _ in runs)
+    return " ".join(x if e == 1 else f"{x}^{e}" for x, (_, e) in zip(letters, runs))
 
 
 # ---------------------------------------------------------------------------
@@ -179,61 +192,77 @@ def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
 # ---------------------------------------------------------------------------
 
 
+def tokenize(text: str, token: str, error: type[ParseError]) -> list[tuple[str, int]]:
+    """Split ``text`` into matches of the pattern ``token``, each with its 1-based column.
+
+    Whitespace between tokens is skipped; a character that starts no token
+    raises ``error`` at its column.
+    """
+    tokens: list[tuple[str, int]] = []
+    for match in re.finditer(rf"\s*(?:(?P<token>{token})|(?P<bad>\S))", text):
+        if match["bad"]:
+            raise error(f"unexpected character {match['bad']!r}", match.start("bad") + 1)
+        tokens.append((match["token"], match.start("token") + 1))
+    return tokens
+
+
 def to_postfix(
-    tokens: Sequence[str], precedences: Mapping[str, int], error: type[ValueError]
-) -> list[str]:
-    """Reorder infix ``tokens`` into postfix with explicit stacks (shunting yard).
+    tokens: Sequence[tuple[str, int]], precedences: Mapping[str, int], error: type[ParseError]
+) -> list[tuple[str, int]]:
+    """Reorder infix ``(token, column)`` pairs into postfix with explicit stacks (shunting yard).
 
     Tokens in ``precedences`` are left-associative binary operators, higher
     binding tighter; ``+`` or ``-`` at the start of the text or of a group
     is a prefix sign, written ``u+`` / ``u-`` in the output and binding as
-    its binary form.  ``( )`` groups, ``[x, y]`` comes out as ``x y []``,
-    and every other token is an operand.  Malformed input raises ``error``.
+    its binary form.  ``( )`` groups, ``[x, y]`` comes out as ``x y []``
+    (at the column of ``]``), and every other token is an operand.  Every
+    token keeps its column; malformed input raises ``error`` at the column
+    of the fault.
     """
-    output: list[str] = []
-    pending: list[tuple[int, str]] = []  # operators and open groups; groups rank -1
+    output: list[tuple[str, int]] = []
+    pending: list[tuple[int, str, int]] = []  # operators and open groups; groups rank -1
     openers = (None, "(", "[", ",")
-    previous = None
-    for token in tokens:
+    previous, end = None, 1
+    for token, column in tokens:
         want_operand = previous in openers or previous in precedences
         if token in ("(", "["):
             if not want_operand:
-                raise error(f"unexpected {token!r} after an operand")
-            pending.append((-1, token))
+                raise error(f"unexpected {token!r} after an operand", column)
+            pending.append((-1, token, column))
         elif token in (")", "]", ","):
             if want_operand:
-                raise error(f"unexpected {token!r}")
+                raise error(f"unexpected {token!r}", column)
             while pending and pending[-1][0] >= 0:
-                output.append(pending.pop()[1])
+                output.append(pending.pop()[1:])
             opener = {")": "(", ",": "[", "]": ","}[token]
             if not pending or pending.pop()[1] != opener:
-                raise error(f"unbalanced {token!r}")
+                raise error(f"unbalanced {token!r}", column)
             if token == ",":
-                pending.append((-1, ","))
+                pending.append((-1, ",", column))
             elif token == "]":
-                output.append("[]")
+                output.append(("[]", column))
         elif token in precedences:
             rank = precedences[token]
             if want_operand:
                 if token not in ("+", "-") or previous not in openers:
-                    raise error(f"unexpected {token!r}")
-                pending.append((rank, "u" + token))
+                    raise error(f"unexpected {token!r}", column)
+                pending.append((rank, "u" + token, column))
             else:
                 while pending and pending[-1][0] >= rank:
-                    output.append(pending.pop()[1])
-                pending.append((rank, token))
+                    output.append(pending.pop()[1:])
+                pending.append((rank, token, column))
         elif want_operand:
-            output.append(token)
+            output.append((token, column))
         else:
-            raise error(f"unexpected {token!r} after an operand")
-        previous = token
+            raise error(f"unexpected {token!r} after an operand", column)
+        previous, end = token, column + len(token)
     if previous in openers or previous in precedences:
-        raise error("unexpected end of input")
+        raise error("unexpected end of input", end)
     while pending:
-        rank, op = pending.pop()
+        rank, op, column = pending.pop()
         if rank < 0:
-            raise error(f"unclosed {op!r}")
-        output.append(op)
+            raise error(f"unclosed {op!r}", column)
+        output.append((op, column))
     return output
 
 

@@ -37,8 +37,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
-from operator import getitem, mul
+from operator import add, getitem, mul
 from typing import IO, Callable, Mapping, Sequence
+
+from .groups import ParseError, to_postfix, tokenize
 
 Exponents = tuple[int, ...]
 Ring = tuple[str, ...]
@@ -57,12 +59,8 @@ class SubstitutionError(ValueError):
     """A substitution map does not match the variables of the operand's ring."""
 
 
-class PolynomialParseError(ValueError):
+class PolynomialParseError(ParseError):
     """Malformed polynomial text.  Carries the 1-based offending column."""
-
-    def __init__(self, message: str, column: int) -> None:
-        super().__init__(f"column {column}: {message}")
-        self.column = column
 
 
 def _grevlex_heap_key(e: Exponents) -> tuple:
@@ -780,9 +778,8 @@ def linear_kernel(rows: Sequence[Sequence], width: int | None = None) -> list[li
 
 # A variable name `parse_polynomial` reads back.
 VARIABLE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
-_TOKEN = re.compile(
-    rf"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>{VARIABLE_NAME.pattern})|(?P<op>[-+*^()]))"
-)
+_TOKEN = rf"\d+(?:/\d+)?|{VARIABLE_NAME.pattern}|[-+*^]"
+_PRECEDENCES = {"+": 1, "-": 1, "*": 2, "^": 3}
 
 
 _TABLE_POWERS = 16
@@ -824,92 +821,55 @@ def format_polynomial(p: Polynomial) -> str:
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     """Parse the textual polynomial syntax over the given ring.
 
-    Grammar: sum of terms joined by ``+``/``-``; a term is ``*``-separated
-    factors, each a rational literal or ``var`` or ``var^exp``.
+    Grammar: an optional sign, then terms joined by ``+``/``-``; a term is
+    ``*``-separated factors, each a rational literal, ``var`` or ``var^k``
+    with k an unsigned integer literal.  The text is read by
+    `groups.to_postfix`, and every error names its 1-based column.
     """
     ring = tuple(ring)
     index = {name: i for i, name in enumerate(ring)}
-    tokens: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            rest = text[pos:]
-            if rest.strip() == "":
-                break
-            bad = pos + (len(rest) - len(rest.lstrip()))
-            raise PolynomialParseError(f"unexpected character {text[bad]!r}", bad + 1)
-        kind = match.lastgroup
-        assert kind is not None
-        tokens.append((kind, match.group(kind), match.start(kind) + 1))
-        pos = match.end()
 
-    result: dict[Exponents, Coefficient] = {}
-    cursor = 0
-
-    def peek():
-        return tokens[cursor] if cursor < len(tokens) else (None, None, len(text) + 1)
-
-    def parse_factor() -> tuple[Coefficient, dict[int, int]]:
-        nonlocal cursor
-        kind, value, column = peek()
-        if kind == "number":
-            cursor += 1
-            try:
-                return (Fraction(value) if "/" in value else int(value)), {}
-            except ZeroDivisionError:
-                raise PolynomialParseError(f"zero denominator in {value!r}", column)
-        if kind == "name":
-            cursor += 1
-            if value not in index:
-                raise PolynomialParseError(f"unknown variable {value!r}", column)
-            power = 1
-            kind2, value2, _ = peek()
-            if kind2 == "op" and value2 == "^":
-                cursor += 1
-                kind3, value3, column3 = peek()
-                if kind3 != "number" or "/" in (value3 or ""):
-                    raise PolynomialParseError("expected integer exponent after '^'", column3)
-                cursor += 1
-                power = int(value3)
-            return 1, {index[value]: power}
-        raise PolynomialParseError("expected a coefficient or variable", column)
-
-    def parse_term() -> tuple[Coefficient, Exponents]:
-        nonlocal cursor
-        coeff, powers = parse_factor()
+    def read(operand) -> list:
+        """``operand`` as a term ``[coefficient, exponents]``; a token is read here."""
+        if type(operand) is list:
+            return operand
+        token, column = operand
         exponents = [0] * len(ring)
-        for i, power in powers.items():
-            exponents[i] += power
-        while True:
-            kind, value, _ = peek()
-            if kind == "op" and value == "*":
-                cursor += 1
-                more_coeff, more_powers = parse_factor()
-                coeff *= more_coeff
-                for i, power in more_powers.items():
-                    exponents[i] += power
-            else:
-                break
-        return coeff, tuple(exponents)
+        if token[0].isdigit():
+            try:
+                return [Fraction(token) if "/" in token else int(token), exponents]
+            except ZeroDivisionError:
+                raise PolynomialParseError(f"zero denominator in {token!r}", column) from None
+        if token not in index:
+            raise PolynomialParseError(f"unknown variable {token!r}", column)
+        exponents[index[token]] = 1
+        return [1, exponents]
 
+    tokens = tokenize(text, _TOKEN, PolynomialParseError)
     if not tokens:
         raise PolynomialParseError("empty polynomial", 1)
-    sign = 1
-    kind, value, _ = peek()
-    if kind == "op" and value in "+-":
-        cursor += 1
-        sign = -1 if value == "-" else 1
-    while True:
-        coeff, exponents = parse_term()
-        coeff *= sign
-        result[exponents] = result.get(exponents, 0) + coeff
-        kind, value, column = peek()
-        if kind is None:
-            break
-        if kind == "op" and value in "+-":
-            cursor += 1
-            sign = -1 if value == "-" else 1
-            continue
-        raise PolynomialParseError(f"expected '+' or '-', got {value!r}", column)
+    # Operands are (token, column) pairs until read.  ``+`` leaves its right
+    # term on the stack and ``-`` negates it, so the stack ends as the terms.
+    stack: list = []
+    for token, column in to_postfix(tokens, _PRECEDENCES, PolynomialParseError):
+        if token == "^":
+            (power, at), base = stack.pop(), stack[-1]
+            if type(base) is list or base[0][0].isdigit():
+                raise PolynomialParseError("'^' must follow a variable", column)
+            if not power.isdigit():
+                raise PolynomialParseError("expected integer exponent after '^'", at)
+            stack[-1] = read(base)
+            stack[-1][1][index[base[0]]] = int(power)
+        elif token == "*":
+            left, right = read(stack[-2]), read(stack.pop())
+            stack[-1] = [left[0] * right[0], [*map(add, left[1], right[1])]]
+        elif token in ("-", "u-"):
+            coefficient, exponents = read(stack[-1])
+            stack[-1] = [-coefficient, exponents]
+        elif token not in ("+", "u+"):
+            stack.append((token, column))
+    result: dict[Exponents, Coefficient] = {}
+    for coefficient, exponents in map(read, stack):
+        exponents = tuple(exponents)
+        result[exponents] = result.get(exponents, 0) + coefficient
     return Polynomial.from_dict(ring, result)

@@ -17,19 +17,19 @@ the tensor-algebra model.
 from __future__ import annotations
 
 import itertools
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .groups import FiniteGroup, FreeWord, evaluate_word, format_word, to_postfix
+from .groups import FiniteGroup, FreeWord, ParseError, evaluate_word, format_word
+from .groups import SIZE_LIMIT, to_postfix, tokenize
 
 
 class ArityError(ValueError):
     """Domains and codomains do not line up."""
 
 
-class TermSyntaxError(ValueError):
+class TermSyntaxError(ParseError):
     """Malformed generator-term text."""
 
 
@@ -185,7 +185,7 @@ def eval_term(term: GeneratorTerm) -> HMorphism:
     return values[0]
 
 
-_TERM_TOKEN = re.compile(r"\s*(?P<tok>id:\d+|[A-Za-z]+|[.*()])")
+_TERM_TOKEN = r"id:\d+|[A-Za-z]+|[.*()]"
 _TERM_LEAVES = {
     "mu": "mu",
     "delta": "delta",
@@ -202,30 +202,24 @@ def parse_term(text: str) -> GeneratorTerm:
 
     ``.`` is composition (right factor acts first), ``*`` is the tensor
     product and binds tighter; both associate to the left.  Leaves are
-    ``mu``, ``delta``, ``S``, ``eta``, ``eps``, ``tau`` and ``id:<k>``.
-    Example: ``mu . (id:1 * S) . delta``.
+    ``mu``, ``delta``, ``S``, ``eta``, ``eps``, ``tau`` and ``id:<k>`` with
+    k at most `SIZE_LIMIT`.  Example: ``mu . (id:1 * S) . delta``.  Errors
+    name their 1-based column.
     """
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        match = _TERM_TOKEN.match(text, pos)
-        if match is None:
-            if text[pos:].strip() == "":
-                break
-            raise TermSyntaxError(f"unexpected character {text[pos:].strip()[0]!r}")
-        tokens.append(match.group("tok"))
-        pos = match.end()
+    tokens = tokenize(text, _TERM_TOKEN, TermSyntaxError)
     stack: list[GeneratorTerm] = []
-    for token in to_postfix(tokens, _TERM_PRECEDENCES, TermSyntaxError):
+    for token, column in to_postfix(tokens, _TERM_PRECEDENCES, TermSyntaxError):
         if token in _TERM_PRECEDENCES:
             right = stack.pop()
             stack[-1] = Compose(stack[-1], right) if token == "." else Tensor(stack[-1], right)
         elif token.startswith("id:"):
+            if int(token[3:]) > SIZE_LIMIT:
+                raise TermSyntaxError(f"{token!r} is wider than {SIZE_LIMIT}", column)
             stack.append(Id(int(token[3:])))
         elif token in _TERM_LEAVES:
             stack.append(Gen(_TERM_LEAVES[token]))
         else:
-            raise TermSyntaxError(f"unknown symbol {token!r}")
+            raise TermSyntaxError(f"unknown symbol {token!r}", column)
     return stack[0]
 
 

@@ -416,6 +416,30 @@ def test_lie_expr_parsing_and_evaluation(sl2_lie):
             parse_lie_expr(bad, names)
 
 
+def test_lie_errors_name_their_column():
+    names = ("a", "b")
+    with pytest.raises(LieParseError) as err:
+        parse_lie_expr("[a,,b]", names)
+    assert err.value.column == 4
+    assert str(err.value) == "column 4: unexpected ','"
+    for text, message in (
+        ("[a, q]", "column 5: unknown generator 'q'"),
+        ("a + 1/0 b", "column 5: zero denominator in '1/0'"),
+        ("a $ b", "column 3: unexpected character '$'"),
+        ("[a, b", "column 3: unclosed ','"),
+        ("a * 2", "column 3: '*' must follow a coefficient"),
+        ("- 3", "column 3: a coefficient alone is not an element"),
+    ):
+        with pytest.raises(LieParseError) as err:
+            parse_lie_expr(text, names)
+        assert str(err.value) == message
+
+
+def test_lie_relators_skip_any_whitespace():
+    names = ("a", "b")
+    assert parse_lie_expr("[a,\t[a, b]]\n- 2 *\rb", names) == parse_lie_expr("[a,[a,b]]-2*b", names)
+
+
 def test_lie_presentation_json(tmp_path):
     path = tmp_path / "ab2.json"
     path.write_text(json.dumps({"generators": ["a", "b"], "relators": ["[a,b]"]}))

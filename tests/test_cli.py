@@ -169,6 +169,26 @@ def test_abelian_dimension_past_the_cap_exits_two(abelian_lie_file):
     assert err == "error: abelian Lie algebra supported for 0 <= d <= 8\n"
 
 
+def test_torus_rank_past_the_cap_exits_two():
+    code, out, err = invoke("cotangent", "--target", "torus:9")
+    assert (code, out, err) == (2, "", "error: torus supported for 1 <= k <= 8\n")
+    assert invoke("cotangent", "--target", "torus:8")[:2] == (0, "dimension: 8\n")
+
+
+def test_sizes_past_the_limit_exit_two(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"generators": ["a"], "relators": ["a^100000000000"]}))
+    for argv, message in (
+        (("reduce", "--n", "1", "--word", "x1^100000000000"), "'x1^100000000000' makes the word"),
+        (("rep-count", "--group", str(path), "--finite", "cyclic:2"), "'a^100000000000' makes the word"),
+        (("reduce", "--n", "100000000000", "--word", "x1"), "--n 100000000000 is outside 0..1000000"),
+        (("normalize", "--term", "mu . id:10000000"), "column 6: 'id:10000000' is wider than 1000000"),
+    ):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
 def test_missing_presentation_key_is_named(tmp_path):
     path = tmp_path / "nogens.json"
     path.write_text(json.dumps({"relators": []}))

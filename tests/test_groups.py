@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -106,6 +107,25 @@ def test_word_parse_and_format():
         W("a$", ("a",))
     with pytest.raises(WordParseError):
         W("q", ("a",))
+
+
+def test_format_word_memory_follows_the_word_not_the_rank():
+    word = FreeWord(10**6, ((10**6, 1),))
+    tracemalloc.start()
+    try:
+        assert format_word(word) == "x1000000"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
+
+
+def test_word_longer_than_the_size_limit_is_refused():
+    assert len(W("a^1000000", ("a",))) == 10**6
+    with pytest.raises(WordParseError, match="'a' makes the word longer than 1000000 letters"):
+        W("a^1000000 a", ("a",))
+    with pytest.raises(WordParseError, match="'a\\^-100000000000'"):
+        W("a^-100000000000", ("a",))
 
 
 # -- presentations -----------------------------------------------------------

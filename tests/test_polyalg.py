@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import random
 from fractions import Fraction
 
@@ -863,3 +864,126 @@ def test_parse_errors_carry_column():
         P("")
     with pytest.raises(PolynomialParseError):
         P("1/0*x")
+
+
+def test_operator_error_names_its_column():
+    with pytest.raises(PolynomialParseError) as err:
+        P("x + * y")
+    assert err.value.column == 5
+    assert str(err.value) == "column 5: unexpected '*'"
+
+
+# The reader before it ran on `groups.to_postfix`: a hand-written recursive
+# descent kept here as the oracle for the postfix reader.
+_ORACLE_TOKEN = re.compile(
+    rf"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>{polyalg.VARIABLE_NAME.pattern})|(?P<op>[-+*^()]))"
+)
+
+
+def _parse_oracle(text, ring):
+    ring = tuple(ring)
+    index = {name: i for i, name in enumerate(ring)}
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _ORACLE_TOKEN.match(text, pos)
+        if match is None:
+            rest = text[pos:]
+            if rest.strip() == "":
+                break
+            bad = pos + (len(rest) - len(rest.lstrip()))
+            raise PolynomialParseError(f"unexpected character {text[bad]!r}", bad + 1)
+        kind = match.lastgroup
+        tokens.append((kind, match.group(kind), match.start(kind) + 1))
+        pos = match.end()
+
+    result = {}
+    cursor = 0
+
+    def peek():
+        return tokens[cursor] if cursor < len(tokens) else (None, None, len(text) + 1)
+
+    def parse_factor():
+        nonlocal cursor
+        kind, value, column = peek()
+        if kind == "number":
+            cursor += 1
+            try:
+                return (Fraction(value) if "/" in value else int(value)), {}
+            except ZeroDivisionError:
+                raise PolynomialParseError(f"zero denominator in {value!r}", column)
+        if kind == "name":
+            cursor += 1
+            if value not in index:
+                raise PolynomialParseError(f"unknown variable {value!r}", column)
+            power = 1
+            kind2, value2, _ = peek()
+            if kind2 == "op" and value2 == "^":
+                cursor += 1
+                kind3, value3, column3 = peek()
+                if kind3 != "number" or "/" in (value3 or ""):
+                    raise PolynomialParseError("expected integer exponent after '^'", column3)
+                cursor += 1
+                power = int(value3)
+            return 1, {index[value]: power}
+        raise PolynomialParseError("expected a coefficient or variable", column)
+
+    def parse_term():
+        nonlocal cursor
+        coeff, powers = parse_factor()
+        exponents = [0] * len(ring)
+        for i, power in powers.items():
+            exponents[i] += power
+        while True:
+            kind, value, _ = peek()
+            if kind == "op" and value == "*":
+                cursor += 1
+                more_coeff, more_powers = parse_factor()
+                coeff *= more_coeff
+                for i, power in more_powers.items():
+                    exponents[i] += power
+            else:
+                break
+        return coeff, tuple(exponents)
+
+    if not tokens:
+        raise PolynomialParseError("empty polynomial", 1)
+    sign = 1
+    kind, value, _ = peek()
+    if kind == "op" and value in "+-":
+        cursor += 1
+        sign = -1 if value == "-" else 1
+    while True:
+        coeff, exponents = parse_term()
+        coeff *= sign
+        result[exponents] = result.get(exponents, 0) + coeff
+        kind, value, column = peek()
+        if kind is None:
+            break
+        if kind == "op" and value in "+-":
+            cursor += 1
+            sign = -1 if value == "-" else 1
+            continue
+        raise PolynomialParseError(f"expected '+' or '-', got {value!r}", column)
+    return Polynomial.from_dict(ring, result)
+
+
+def _outcome(parse, text, ring):
+    try:
+        return parse(text, ring)
+    except Exception as err:  # the class is what is compared
+        return type(err)
+
+
+def test_postfix_reader_matches_the_recursive_descent_oracle():
+    pieces = "x y z' w 2 1/2 3 0 1/0 + - * ^ ( ) $ x^2 y^10".split() + [" ", "  "]
+    ring = ("x", "y", "z'")
+    rng = random.Random(20261019)
+    accepted = 0
+    for _ in range(20_000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 9)))
+        expected = _outcome(_parse_oracle, text, ring)
+        got = _outcome(parse_polynomial, text, ring)
+        assert got == expected, text
+        accepted += isinstance(got, Polynomial)
+    assert accepted > 1_000

@@ -165,6 +165,19 @@ def test_parse_term_errors():
         eval_term(parse_term("mu . mu"))
 
 
+def test_term_errors_name_their_column():
+    with pytest.raises(TermSyntaxError) as err:
+        parse_term("mu . )")
+    assert err.value.column == 6
+    assert str(err.value) == "column 6: unexpected ')'"
+    with pytest.raises(TermSyntaxError, match="column 8: unexpected character '#'"):
+        parse_term("mu\t. (\n#")
+    with pytest.raises(TermSyntaxError, match="column 9: unexpected end of input"):
+        parse_term("mu . S .  ")
+    with pytest.raises(TermSyntaxError, match="column 6: unknown symbol 'nu'"):
+        parse_term("mu . nu")
+
+
 def test_term_formatting_example():
     assert format_hmorphism(eval_term(parse_term("mu . tau"))) == "[2]->[1]: (x2 x1)"
     assert (
