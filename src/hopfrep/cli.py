@@ -15,9 +15,14 @@ import functools
 import json
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, TYPE_CHECKING, Sequence
 
-from . import alggroups, groups, polyalg, prop_h, repvariety
+# Each command imports the rest of the library itself, so a launch loads
+# only what its command runs (`axioms` never compiles the polynomial layer).
+from . import groups, prop_h
+
+if TYPE_CHECKING:
+    from .repvariety import RepIdealPresentation
 
 
 class CliError(ValueError):
@@ -49,7 +54,7 @@ def _build_parser() -> _Parser:
     rep.add_argument("--group", required=True, help="path to presentation JSON")
     rep.add_argument("--target", required=True, help="gl:m | sl:m | torus:k | ga | JSON path")
     rep.add_argument("--groebner", action="store_true", help="also print a Groebner basis")
-    rep.add_argument("--order", choices=polyalg.MONOMIAL_ORDERS, default=polyalg.GREVLEX)
+    rep.add_argument("--order", help="monomial order for --groebner (default: graded reverse lex)")
 
     lie = sub.add_parser("lie-rep-ideal", help="Lie representation ideal")
     lie.add_argument("--source", required=True, help="path to Lie presentation JSON")
@@ -79,7 +84,7 @@ def _emit_json(stream: IO[str], payload) -> None:
     _emit(stream, json.dumps(payload, indent=2))
 
 
-def _emit_presentation(stream: IO[str], presentation: repvariety.RepIdealPresentation) -> None:
+def _emit_presentation(stream: IO[str], presentation: RepIdealPresentation) -> None:
     _emit(stream, "variables: " + " ".join(presentation.ring))
     for i, (g, source) in enumerate(
         zip(presentation.ideal.generators, presentation.provenance)
@@ -126,8 +131,7 @@ def _cmd_normalize(args, out: IO[str]) -> int:
 def _cmd_reduce(args, out: IO[str]) -> int:
     if not 0 <= args.n <= groups.SIZE_LIMIT:
         raise CliError(f"--n {args.n} is outside 0..{groups.SIZE_LIMIT}")
-    names = [f"x{i}" for i in range(1, args.n + 1)]
-    word = groups.parse_word(args.word, names)
+    word = groups.parse_word(args.word, args.n)
     morphism = prop_h.HMorphism(args.n, 1, (word,))
     reduced = prop_h.multilinear_reduce(prop_h.LinHom.of(morphism))
     if args.format == "json":
@@ -147,27 +151,35 @@ def _cmd_reduce(args, out: IO[str]) -> int:
 
 
 def _cmd_rep_ideal(args, out: IO[str]) -> int:
+    from . import alggroups, polyalg, repvariety
+
+    order = polyalg.GREVLEX if args.order is None else args.order
+    if order not in polyalg.MONOMIAL_ORDERS:
+        choices = ", ".join(map(repr, polyalg.MONOMIAL_ORDERS))
+        raise CliError(f"argument --order: invalid choice: {order!r} (choose from {choices})")
     presentation = repvariety.rep_ideal(
         groups.GroupPresentation.from_json(args.group), alggroups.make_group(args.target)
     )
     payload = presentation.to_json()
     basis = None
     if args.groebner:
-        basis = polyalg.groebner(presentation.ideal, args.order)
-        payload["groebner_order"] = args.order
+        basis = polyalg.groebner(presentation.ideal, order)
+        payload["groebner_order"] = order
         payload["groebner_basis"] = [str(g) for g in basis.basis]
     if args.format == "json":
         _emit_json(out, payload)
     else:
         _emit_presentation(out, presentation)
         if basis is not None:
-            _emit(out, f"groebner ({args.order}):")
+            _emit(out, f"groebner ({order}):")
             for g in basis.basis:
                 _emit(out, f"  {g}")
     return 0
 
 
 def _cmd_lie_rep_ideal(args, out: IO[str]) -> int:
+    from . import alggroups, repvariety
+
     source = alggroups.LiePresentation.from_json(args.source)
     presentation = repvariety.lie_rep_ideal(source, alggroups.make_lie(args.target))
     if args.format == "json":
@@ -178,6 +190,8 @@ def _cmd_lie_rep_ideal(args, out: IO[str]) -> int:
 
 
 def _cmd_rep_count(args, out: IO[str]) -> int:
+    from . import repvariety
+
     presentation = groups.GroupPresentation.from_json(args.group)
     target = groups.make_finite_group(args.finite)
     algebra = repvariety.finite_rep_algebra(presentation, target)
@@ -204,6 +218,8 @@ def _cmd_rep_count(args, out: IO[str]) -> int:
 
 
 def _cmd_cotangent(args, out: IO[str]) -> int:
+    from . import alggroups
+
     group = alggroups.make_group(args.target)
     data = alggroups.cotangent_at_identity(group)
     if args.format == "json":
@@ -222,6 +238,8 @@ def _cmd_cotangent(args, out: IO[str]) -> int:
 
 
 def _cmd_invariance(args, out: IO[str]) -> int:
+    from . import alggroups, repvariety
+
     presentation = groups.GroupPresentation.from_json(args.group)
     target = alggroups.make_group(args.target)
     word = groups.parse_word(args.word, presentation.generators)
@@ -250,9 +268,12 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     parser = _build_parser()
+    polyalg = None
     try:
         args = parser.parse_args(list(argv))
         if args.verbose:
+            from . import polyalg
+
             _emit(err, f"hopfrep: running {args.command}")
             polyalg.stats_stream = err
         return _COMMANDS[args.command](args, out)
@@ -261,7 +282,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
         _emit(err, f"error: {exc}")
         return 2
     finally:
-        polyalg.stats_stream = None
+        if polyalg is not None:
+            polyalg.stats_stream = None
 
 
 def main() -> None:

@@ -147,28 +147,41 @@ class FreeWord:
 _WORD_TOKEN = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(?:\^(?P<exp>-?\d+))?$")
 
 
-def parse_word(text: str, names: Sequence[str]) -> FreeWord:
+def _x_position(rank: int, name: str) -> int | None:
+    """``i`` if ``name`` is ``x<i>`` with ``1 <= i <= rank``, else None."""
+    digits = name[1:]
+    if name[:1] != "x" or not digits.isdigit() or digits[0] == "0":
+        return None
+    return int(digits) if len(digits) <= len(str(rank)) and int(digits) <= rank else None
+
+
+def parse_word(text: str, names: Sequence[str] | int) -> FreeWord:
     """Parse space-separated ``name`` / ``name^k`` tokens over the alphabet ``names``.
 
-    The token ``e`` denotes the identity when no generator shadows it.
+    The token ``e`` denotes the identity when no generator shadows it.  An
+    int ``n`` stands for ``x1 .. xn``, the letters `format_word` prints by
+    default; each is read from its digits, so the cost follows the text, not n.
     """
-    rank = len(names)
-    positions = {name: i + 1 for i, name in enumerate(names)}
+    if isinstance(names, int):
+        rank, position = names, functools.partial(_x_position, names)
+    else:
+        rank, position = len(names), {name: i + 1 for i, name in enumerate(names)}.get
     letters: list[tuple[int, int]] = []
     for token in text.split():
-        if token == "e" and "e" not in positions:
+        if token == "e" and position("e") is None:
             continue
         match = _WORD_TOKEN.match(token)
         if match is None:
             raise WordParseError(f"bad word token {token!r}")
         name = match.group("name")
-        if name not in positions:
+        index = position(name)
+        if index is None:
             raise WordParseError(f"unknown generator {name!r}")
         exponent = int(match.group("exp")) if match.group("exp") else 1
         if len(letters) + abs(exponent) > SIZE_LIMIT:
             raise WordParseError(f"{token!r} makes the word longer than {SIZE_LIMIT} letters")
         sign = 1 if exponent > 0 else -1
-        letters.extend(((positions[name], sign),) * abs(exponent))
+        letters.extend(((index, sign),) * abs(exponent))
     return FreeWord(rank, tuple(letters))
 
 

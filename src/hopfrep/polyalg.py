@@ -35,7 +35,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from operator import add, getitem, mul
 from typing import IO, Callable, Mapping, Sequence
@@ -457,10 +457,19 @@ class GroebnerBasis:
     order: str
     basis: tuple[Polynomial, ...]
     stats: Mapping[str, int] = field(default_factory=dict, compare=False)
+    # The `_Packing` `groebner` finished in and the basis packed in it, so
+    # that `ideal_member` packs only its operand; a basis built directly has none.
+    _packing: _Packing | None = field(default=None, compare=False, repr=False)
+    _packed: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ring(self) -> Ring:
         return self.ideal.ring
+
+    @cached_property
+    def _divisors(self) -> list[tuple]:
+        """The packed basis prepared for `_reduce`, at the first membership test."""
+        return [self._packing.prepare(terms) for terms in self._packed]
 
 
 class _Overflow(Exception):
@@ -482,7 +491,7 @@ class _Packing:
 
     def __init__(self, width: int, size: int, code: str, order: str) -> None:
         bits, lex = 8 * size, order == LEX
-        self.lex, (self.pack, self.unpack) = lex, _packer(width, size, code, lex)
+        self.bits, self.lex, (self.pack, self.unpack) = bits, lex, _packer(width, size, code, lex)
         shift = bits * width
         self.mask = (1 << shift) - 1
         ones = sum(1 << bits * i for i in range(width))  # a degree: top field of fields * ones
@@ -714,13 +723,23 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
         line = " ".join(f"{k}={v}" for k, v in count.items())
         print(f"groebner {order}, {len(ideal.ring)} variables: {line}", file=stats_stream)
     basis_out = tuple(packing.polynomial(ideal.ring, terms) for terms in reduced)
-    return GroebnerBasis(ideal=ideal, order=order, basis=basis_out, stats=count)
+    return GroebnerBasis(ideal, order, basis_out, count, packing, tuple(reduced))
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
-    """True iff the normal form of ``p`` modulo the basis is zero."""
+    """True iff the normal form of ``p`` modulo the basis is zero.
+
+    Only ``p`` is packed, in the basis's own fields when its degree fits
+    them; an operand that needs wider fields goes through `normal_form`.
+    """
     if p.ring != gb.ring:
         raise RingMismatchError("polynomial ring does not match the basis ring")
+    packing = gb._packing
+    if packing is not None and p.total_degree() < 1 << packing.bits - 1:
+        try:
+            return not _reduce(packing.terms(p), gb._divisors, packing)
+        except _Overflow:
+            pass
     return normal_form(p, gb.basis, gb.order).is_zero()
 
 

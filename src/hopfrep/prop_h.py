@@ -98,9 +98,14 @@ def compose_h(f: HMorphism, g: HMorphism) -> HMorphism:
 
 
 def tensor_h(f: HMorphism, g: HMorphism) -> HMorphism:
-    """Side-by-side juxtaposition; g's letters are shifted past f's domain."""
+    """Side-by-side juxtaposition; g's letters are shifted past f's domain.
+
+    A result wider than `SIZE_LIMIT` raises ArityError before it is built.
+    """
     dom = f.dom + g.dom
     cod = f.cod + g.cod
+    if dom > SIZE_LIMIT or cod > SIZE_LIMIT:
+        raise ArityError(f"a tensor of width {max(dom, cod)} is more than {SIZE_LIMIT}")
     words = tuple(w.shift(0, dom) for w in f.words) + tuple(
         w.shift(f.dom, dom) for w in g.words
     )
@@ -141,6 +146,8 @@ class Id(GeneratorTerm):
     def __post_init__(self) -> None:
         if self.width < 0:
             raise ArityError("identity width must be non-negative")
+        if self.width > SIZE_LIMIT:
+            raise ArityError(f"identity width {self.width} is more than {SIZE_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -161,8 +168,10 @@ def eval_term(term: GeneratorTerm) -> HMorphism:
     """Normalize a formal composite to its free-group-tuple morphism.
 
     Two terms equal modulo the Hopf relations evaluate to the same
-    HMorphism; ill-typed terms raise ArityError.  The walk keeps its own
-    stack, so the depth of a term is bounded only by memory.
+    HMorphism; ill-typed terms raise ArityError, and so does a term whose
+    width would pass `SIZE_LIMIT` (`Id` and `tensor_h` refuse it before
+    building any word).  The walk keeps its own stack, so the depth of a
+    term is bounded only by memory.
     """
     pending: list = [term]
     values: list[HMorphism] = []

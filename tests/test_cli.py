@@ -189,6 +189,25 @@ def test_sizes_past_the_limit_exit_two(tmp_path):
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
 
 
+def test_term_wider_than_the_limit_exits_two(monkeypatch):
+    # The limit is lowered so that no test builds 10^6 words.
+    from hopfrep import prop_h
+
+    monkeypatch.setattr(prop_h, "SIZE_LIMIT", 4)
+    assert invoke("normalize", "--term", "id:2 * id:2")[0] == 0
+    code, out, err = invoke("normalize", "--term", "id:4 * id:4 * id:4 * id:4")
+    assert (code, out, err) == (2, "", "error: a tensor of width 8 is more than 4\n")
+
+
+@pytest.mark.parametrize("groebner", [[], ["--groebner"]], ids=["plain", "groebner"])
+def test_unknown_order_exits_two_before_reading_inputs(tmp_path, groebner):
+    # The group file does not exist: the order is checked first.
+    argv = ["rep-ideal", "--group", str(tmp_path / "missing.json"), "--target", "sl:2"]
+    code, out, err = invoke(*argv, *groebner, "--order", "deglex")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --order: invalid choice: 'deglex' (choose from 'grevlex', 'lex')\n"
+
+
 def test_missing_presentation_key_is_named(tmp_path):
     path = tmp_path / "nogens.json"
     path.write_text(json.dumps({"relators": []}))

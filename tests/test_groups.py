@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -118,6 +119,23 @@ def test_format_word_memory_follows_the_word_not_the_rank():
     finally:
         tracemalloc.stop()
     assert peak < 100_000, peak
+
+
+def test_word_over_x_names_reads_only_the_names_it_meets():
+    # An int alphabet is x1..xn, named as it is read; every answer, error
+    # included, is the one the spelled-out alphabet gives.
+    texts = ("x1 x2^-3 x1", "x10 x12^2", "e", "x0", "x01", "x13", "x", "y1", "x" + "9" * 5000)
+    for rank, text in itertools.product((0, 1, 9, 10, 12), texts):
+        try:
+            expected = parse_word(text, [f"x{i}" for i in range(1, rank + 1)])
+        except WordParseError as err:
+            with pytest.raises(WordParseError, match=re.escape(str(err))):
+                parse_word(text, rank)
+        else:
+            assert parse_word(text, rank) == expected, (rank, text)
+    assert parse_word("x1000000 x1^-1", 10**6).letters == ((10**6, 1), (1, -1))
+    with pytest.raises(WordParseError, match="unknown generator 'x1000001'"):
+        parse_word("x1000001", 10**6)
 
 
 def test_word_longer_than_the_size_limit_is_refused():

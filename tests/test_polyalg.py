@@ -716,6 +716,28 @@ def test_groebner_reruns_in_wider_fields():
         groebner(Ideal(RING, (X ** (2**63) - 1,)))
 
 
+def test_ideal_member_packs_only_its_operand(monkeypatch):
+    # A basis from `groebner` answers in the fields it was computed in (8-bit
+    # grevlex, 16-bit lex here).  An operand of too high a degree, or one whose
+    # reduction outgrows the fields (x^20000 -> y^40000), goes through
+    # `normal_form`; a basis built directly always does.  The answers agree.
+    calls = []
+    monkeypatch.setattr(polyalg, "normal_form", lambda *args: calls.append(args) or normal_form(*args))
+    cases = [
+        (GREVLEX, "x*y - 1", [("x^3*y^3 - 1", True, 0), ("x^3", False, 0), ("x^200*y^200 - 1", True, 1)]),
+        (LEX, "x - y^2", [("x^3 - y^6", True, 0), ("x^20000 - y^40000", True, 1), ("x^20000", False, 1)]),
+    ]
+    for order, generator, operands in cases:
+        gb = groebner(Ideal(RING, (P(generator),)), order)
+        bare = polyalg.GroebnerBasis(gb.ideal, gb.order, gb.basis)
+        for text, member, fallbacks in operands:
+            calls.clear()
+            assert ideal_member(P(text), gb) is member, text
+            assert len(calls) == fallbacks, text
+            assert ideal_member(P(text), bare) is member, text
+            assert len(calls) == fallbacks + 1, text
+
+
 # -- linear algebra ---------------------------------------------------------
 
 

@@ -165,6 +165,19 @@ def test_parse_term_errors():
         eval_term(parse_term("mu . mu"))
 
 
+def test_eval_term_bounds_the_evaluated_width(monkeypatch):
+    from hopfrep import prop_h
+
+    monkeypatch.setattr(prop_h, "SIZE_LIMIT", 4)
+    assert eval_term(parse_term("id:2 * id:2")).dom == 4
+    assert eval_term(parse_term("(eps * eps * eps * eps) . (eta * id:3)")).dom == 3
+    for term, width in (("id:3 * id:2", 5), ("delta * delta * delta", 6), ("mu * mu * mu", 6)):
+        with pytest.raises(ArityError, match=f"a tensor of width {width} is more than 4"):
+            eval_term(parse_term(term))
+    with pytest.raises(ArityError, match="identity width 5 is more than 4"):
+        Id(5)
+
+
 def test_term_errors_name_their_column():
     with pytest.raises(TermSyntaxError) as err:
         parse_term("mu . )")
