@@ -398,18 +398,16 @@ class GroupPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _closure(table: Sequence[Sequence[int]], seed: set[int]) -> set[int]:
+def _closure(rows: Sequence[tuple], columns: Sequence[tuple], seed: set[int]) -> set[int]:
+    """The smallest superset of ``seed`` holding ``a b`` and ``b a`` for each two members."""
     current = set(seed)
     frontier = set(seed)
     while frontier:
         fresh: set[int] = set()
         for a in frontier:
-            for b in current:
-                for c in (table[a][b], table[b][a]):
-                    if c not in current:
-                        fresh.add(c)
-        current |= fresh
-        frontier = fresh
+            fresh.update(map(rows[a].__getitem__, current), map(columns[a].__getitem__, current))
+        frontier = fresh - current
+        current |= frontier
     return current
 
 
@@ -436,46 +434,42 @@ class FiniteGroup:
             raise GroupTableError("empty table")
         rows = tuple(tuple(row) for row in table)
         for row in rows:
-            if len(row) != n or any(not 0 <= x < n for x in row):
+            if len(row) != n or min(row) < 0 or max(row) >= n:
                 raise GroupTableError("table is not square over element indices")
-
-        identity = next(
-            (
-                e
-                for e in range(n)
-                if all(rows[e][a] == a and rows[a][e] == a for a in range(n))
-            ),
-            None,
-        )
+        # Whole rows and columns are compared at once; each check names the
+        # element or triple a search entry by entry would name first.
+        columns = tuple(zip(*rows))
+        elements = tuple(range(n))
+        identity = next((e for e in elements if rows[e] == elements == columns[e]), None)
         if identity is None:
             raise GroupTableError("table has no two-sided identity")
 
         inverses = []
-        for a in range(n):
-            inverse = next(
-                (b for b in range(n) if rows[a][b] == identity and rows[b][a] == identity),
-                None,
-            )
-            if inverse is None:
-                raise GroupTableError(f"element {a} has no two-sided inverse")
+        for a, row in enumerate(rows):
+            inverse = row.index(identity) if identity in row else None
+            if inverse is None or rows[inverse][a] != identity:  # then the table is no group
+                inverse = next(
+                    (b for b in elements if row[b] == identity and rows[b][a] == identity), None
+                )
+                if inverse is None:
+                    raise GroupTableError(f"element {a} has no two-sided inverse")
             inverses.append(inverse)
 
         # Light's associativity test: full associativity follows from
         # associativity of all triples (a, t, b) with t in a generating set.
         generators: list[int] = []
         reached = {identity}
-        for a in range(n):
+        for a in elements:
             if a not in reached:
                 generators.append(a)
-                reached = _closure(rows, reached | {a})
-        for t in generators:
-            for a in range(n):
-                row_at = rows[a][t]
-                for b in range(n):
-                    if rows[row_at][b] != rows[a][rows[t][b]]:
-                        raise GroupTableError(
-                            f"associativity fails at ({a}, {t}, {b})"
-                        )
+                reached = _closure(rows, columns, reached | {a})
+        for t in generators:  # n > 1, so each ``then_t`` gives a tuple
+            row_t, then_t = rows[t], itemgetter(*rows[t])
+            for a, row in enumerate(rows):
+                row_at = rows[row[t]]
+                if row_at != then_t(row):
+                    b = next(b for b in elements if row_at[b] != row[row_t[b]])
+                    raise GroupTableError(f"associativity fails at ({a}, {t}, {b})")
 
         if names is None:
             names = tuple(str(i) for i in range(n))

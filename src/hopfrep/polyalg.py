@@ -12,21 +12,23 @@ bit-identical results and printed output.  A ring is simply a tuple of
 variable names; the position in the tuple fixes the variable order used
 by every monomial order.
 
-Products pack monomials (Monagan and Pearce, CASC 2007): in an
-n-variable ring a monomial e becomes the integer
-``(deg e << 8wn) - sum(e[i] << 8w*i)``, n fields of w bytes under the
-total degree.  While every exponent stays below ``2**8w`` the product of
-two monomials is the sum of their integers, and descending integer order
-is descending grevlex, so a result is one plain sort of integers.  One
-packed product loop serves ``*``, ``**``, `substitute` and
-`fold_substitute`.  The field width w is 1, 2, 4 or 8 bytes, the
-smallest that holds a degree bound on every monomial the computation can
-form: ``deg a + deg b`` for a product, ``k * deg a`` for a k-th power,
-and for `fold_substitute` (`substitute` is one step of it) the largest
-``sum(e[i] * deg(value[i]))`` at every step of the fold, not only the
-last, since a map need not raise degree monotonically.  `groebner` and
-`normal_form` keep every monomial packed from input to output, a guard
-bit atop each field, and rerun in wider fields on overflow (`_Packing`).
+Monomials are packed (Monagan and Pearce, CASC 2007): in an n-variable
+ring a monomial e is the key ``(deg e << 8wn) - sum(e[i] << 8w*i)``, n
+fields of w bytes under the total degree.  Descending key order is
+descending grevlex, and while every exponent stays below ``2**8w`` the
+product of two monomials is the sum of their keys.  A `Polynomial` keeps
+keys in the narrowest w of 1, 2, 4, 8, 16, ... bytes that holds its
+degree, so one value has one stored form, and every kernel reads and
+returns keys; exponent tuples exist only on input and in
+`Polynomial.terms`.  One packed product loop serves ``*``, ``**``,
+`substitute` and `fold_substitute`, in the smallest w of at most 8 bytes
+that holds a degree bound on every monomial it can form: ``deg a + deg
+b`` for a product, ``k * deg a`` for a k-th power, and for
+`fold_substitute` (`substitute` is one step of it) the largest
+``sum(e[i] * deg(value[i]))`` at every step of the fold, since a map need
+not raise degree monotonically.  `groebner` and `normal_form` add a guard
+bit atop each field and rerun in wider fields on overflow (`_Packing`).
+Operands in other fields, and lex runs, are repacked.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from heapq import heapify, heappop, heappush
 from operator import add, getitem, mul
-from typing import IO, Callable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .groups import ParseError, to_postfix, tokenize
 
@@ -63,10 +65,6 @@ class PolynomialParseError(ParseError):
     """Malformed polynomial text.  Carries the 1-based offending column."""
 
 
-def _grevlex_heap_key(e: Exponents) -> tuple:
-    return (-sum(e), e[::-1])
-
-
 def _exact(value) -> Coefficient:
     """``value`` as a coefficient: an ``int`` if it is an integer, else a ``Fraction``.
 
@@ -79,49 +77,58 @@ def _exact(value) -> Coefficient:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Polynomial:
     """A sparse multivariate polynomial with exact rational coefficients.
 
-    ``terms`` is the canonical form: no zero coefficients, no duplicate
-    exponent tuples, sorted in descending grevlex order; a coefficient is
-    an ``int`` when its value is an integer and a ``Fraction`` otherwise.
-    Use the factory methods (or the arithmetic operators) rather than
-    building terms by hand.
+    Stored as ``(key, coefficient)`` pairs, largest key (in descending
+    grevlex order) first, with keys in fields of ``_size`` bytes, the
+    narrowest that hold the total degree (see the module docstring).  No
+    coefficient is zero, and one is an ``int`` when its value is an integer
+    and a ``Fraction`` otherwise.  ``terms`` is the same as ``(exponents,
+    coefficient)`` pairs, built on first use; ``Polynomial(ring, terms)``
+    reads such pairs in any order.  The operators and factory methods build
+    the stored form directly.
     """
 
     ring: Ring
-    terms: tuple[tuple[Exponents, Coefficient], ...]
+    _terms: tuple[tuple[int, Coefficient], ...]
+    _size: int
 
-    def __post_init__(self) -> None:
-        width = len(self.ring)
-        for exponents, coeff in self.terms:
-            if len(exponents) != width:
-                raise ValueError("exponent tuple length does not match ring")
-            if type(coeff) is not int and type(coeff) is not Fraction:
-                raise TypeError(f"coefficient {coeff!r} is not an int or a Fraction")
-            if coeff == 0:
-                raise ValueError("zero coefficient stored in polynomial")
+    def __init__(self, ring: Ring, terms: Iterable[tuple[Exponents, Coefficient]] = ()) -> None:
+        ring, terms = tuple(ring), [(tuple(e), _exact(c)) for e, c in terms]
+        if any(len(e) != len(ring) or min(e, default=0) < 0 or not c for e, c in terms):
+            raise ValueError("a term needs a nonzero coefficient and exponents for the ring")
+        size = _field_size(max((sum(e) for e, _ in terms), default=0))
+        pack = _packer(len(ring), size)[0]
+        packed = sorted([(pack(e), c) for e, c in terms], reverse=True)
+        if any(a[0] == b[0] for a, b in zip(packed, packed[1:])):
+            raise ValueError("repeated exponent tuple")
+        _polynomial(ring, tuple(packed), size, self)
+
+    def __repr__(self) -> str:
+        return f"Polynomial(ring={self.ring!r}, terms={self.terms!r})"
+
+    @cached_property
+    def terms(self) -> tuple[tuple[Exponents, Coefficient], ...]:
+        """``(exponents, coefficient)`` pairs in descending grevlex order."""
+        exponents = _packer(len(self.ring), self._size)[1]([k for k, _ in self._terms])
+        return tuple(zip(exponents, [c for _, c in self._terms]))
 
     # -- construction -------------------------------------------------
 
     @staticmethod
     def from_dict(ring: Ring, mapping: Mapping[Exponents, Coefficient]) -> "Polynomial":
-        # Ascending heap-key order is descending grevlex, the canonical order.
-        items = sorted(mapping.items(), key=lambda item: _grevlex_heap_key(item[0]))
-        terms = tuple((e, _exact(c)) for e, c in items if c)
-        return Polynomial(tuple(ring), terms)
+        return Polynomial(ring, [(e, c) for e, c in mapping.items() if c])
 
     @staticmethod
     def zero(ring: Ring) -> "Polynomial":
-        return Polynomial(tuple(ring), ())
+        return _polynomial(tuple(ring), (), 1)
 
     @staticmethod
     def constant(ring: Ring, value) -> "Polynomial":
         value = _exact(value)
-        if value == 0:
-            return Polynomial.zero(ring)
-        return Polynomial(tuple(ring), (((0,) * len(ring), value),))
+        return _polynomial(tuple(ring), ((0, value),) if value else (), 1)
 
     @staticmethod
     def one(ring: Ring) -> "Polynomial":
@@ -134,18 +141,17 @@ class Polynomial:
             index = ring.index(name)
         except ValueError:
             raise RingMismatchError(f"variable {name!r} is not in the ring") from None
-        exponents = tuple(1 if i == index else 0 for i in range(len(ring)))
-        return Polynomial(ring, ((exponents, 1),))
+        return _polynomial(ring, (((1 << 8 * len(ring)) - (1 << 8 * index), 1),), 1)
 
     # -- basic queries ------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def total_degree(self) -> int:
         """Degree of the zero polynomial is reported as -1."""
-        # Grevlex compares total degree first, so the leading term has the largest.
-        return sum(self.terms[0][0]) if self.terms else -1
+        # The leading term's: its key's top field, rounded up past the others' borrow.
+        return -(-self._terms[0][0] >> 8 * self._size * len(self.ring)) if self._terms else -1
 
     def _check_same_ring(self, other: "Polynomial") -> None:
         if self.ring != other.ring:
@@ -165,29 +171,24 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self._add_constant(_exact(other))
         self._check_same_ring(other)
-        acc = dict(self.terms)
-        for e, c in other.terms:
-            acc[e] = acc.get(e, 0) + c
-        return Polynomial.from_dict(self.ring, acc)
+        size = max(self._size, other._size)
+        acc = dict(_terms_in(self, size))
+        for k, c in _terms_in(other, size):
+            acc[k] = acc.get(k, 0) + c
+        return _from_acc(self.ring, acc, size)
 
     __radd__ = __add__
 
     def _add_constant(self, value: Coefficient) -> "Polynomial":
-        # The constant monomial is the smallest in grevlex: only the last term changes.
-        if not value:
-            return self
-        constant = (0,) * len(self.ring)
-        terms = self.terms
-        if terms and terms[-1][0] == constant:
-            total = terms[-1][1] + value
-            terms = terms[:-1]
-            if not total:
-                return Polynomial(self.ring, terms)
-            value = _exact(total)
-        return Polynomial(self.ring, terms + ((constant, value),))
+        # The constant monomial, key 0, is the smallest: only the last term
+        # changes, and a constant's fields are 1 byte, so the size stands.
+        terms = self._terms
+        if terms and not terms[-1][0]:
+            value, terms = _exact(terms[-1][1] + value), terms[:-1]
+        return _polynomial(self.ring, terms + ((0, value),) if value else terms, self._size)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
+        return _polynomial(self.ring, tuple([(k, -c) for k, c in self._terms]), self._size)
 
     def __sub__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -200,13 +201,12 @@ class Polynomial:
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             value = _exact(other)
-            if value == 0:
-                return Polynomial.zero(self.ring)
-            return Polynomial(self.ring, tuple((e, _exact(c * value)) for e, c in self.terms))
+            terms = tuple([(k, _exact(c * value)) for k, c in self._terms]) if value else ()
+            return _polynomial(self.ring, terms, self._size if value else 1)
         other = self._coerce(other)
-        pack, unpack = _packing(len(self.ring), sum(_degrees((self, other))))
-        product = _mul_into({}, _packed(self, pack), _packed(other, pack))
-        return _unpacked(self.ring, product, unpack)
+        size = _field_size(sum(_degrees((self, other))), kernel=True)
+        product = _mul_into({}, _terms_in(self, size), _terms_in(other, size))
+        return _from_acc(self.ring, product, size)
 
     __rmul__ = __mul__
 
@@ -215,8 +215,8 @@ class Polynomial:
             raise ValueError("polynomial powers must be non-negative integers")
         if not exponent:
             return Polynomial.one(self.ring)
-        pack, unpack = _packing(len(self.ring), exponent * max(self.total_degree(), 0))
-        return _unpacked(self.ring, dict(_pow_packed(_packed(self, pack), exponent)), unpack)
+        size = _field_size(exponent * max(self.total_degree(), 0), kernel=True)
+        return _from_acc(self.ring, dict(_pow_packed(_terms_in(self, size), exponent)), size)
 
     # -- substitution and evaluation ----------------------------------
 
@@ -238,7 +238,7 @@ class Polynomial:
         if len(rings) != 1:
             raise RingMismatchError("substitution images live in different rings")
         ordered = [images[v] for v in self.ring]
-        if len(self.terms) == 1 and self.terms[0][1] == 1 and sum(self.terms[0][0]) == 1:
+        if len(self._terms) == 1 and self._terms[0][1] == 1 and self.total_degree() == 1:
             # A bare variable maps to its image; sharing it avoids copying a
             # large image, as when matrix entries take a word's pullback.
             return ordered[self.terms[0][0].index(1)]
@@ -269,10 +269,19 @@ class Polynomial:
                 positions.append(ring.index(name))
             except ValueError:
                 raise RingMismatchError(f"variable {name!r} is not in the target ring") from None
-        width = len(ring)
+        first, bits, width = min(positions, default=0), 8 * self._size, len(self.ring)
+        if positions == [*range(first, first + width)]:
+            # The variables stay consecutive and in order: each key keeps its
+            # degree and its place, and its fields move up ``first`` places.
+            shift, mask, top = bits * width, (1 << bits * width) - 1, bits * len(ring)
+            terms = []
+            for k, c in self._terms:
+                low = -k & mask
+                terms.append((((k + low) >> shift << top) - (low << bits * first), c))
+            return _polynomial(ring, tuple(terms), self._size)
         acc: dict[Exponents, Coefficient] = {}
         for exponents, coeff in self.terms:
-            new = [0] * width
+            new = [0] * len(ring)
             for position, power in zip(positions, exponents):
                 new[position] += power
             acc[tuple(new)] = acc.get(tuple(new), 0) + coeff
@@ -282,11 +291,33 @@ class Polynomial:
         return format_polynomial(self)
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
+def _polynomial(ring: Ring, terms: tuple, size: int, p: Polynomial | None = None) -> Polynomial:
+    """``p``, by default a new polynomial, stored as ``terms`` in fields of ``size`` bytes."""
+    p = _new(Polynomial) if p is None else p
+    _set(p, "ring", ring)
+    _set(p, "_terms", terms)
+    _set(p, "_size", size)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # Packed monomials (see the module docstring)
 # ---------------------------------------------------------------------------
 
 _FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _field_size(degree: int, kernel: bool = False) -> int:
+    """The narrowest of 1, 2, 4, 8, 16, ... bytes that holds ``degree``; a kernel's is at most 8."""
+    size = 1
+    while degree >> 8 * size:
+        size *= 2
+    if kernel and size > 8:
+        raise ValueError(f"degree bound {degree} does not fit a 64-bit exponent")
+    return size
 
 
 def _degrees(polynomials: Sequence[Polynomial]) -> list[int]:
@@ -299,16 +330,18 @@ def _degree_bound(terms, degrees: Sequence[int]) -> int:
     return max((sum(map(mul, e, degrees)) for e, _ in terms), default=0)
 
 
-def _packing(width: int, bound: int) -> tuple[Callable, Callable]:
-    """``(pack, unpack)`` for a ``width``-variable ring, every degree at most ``bound``."""
-    for size, code in _FIELDS:
-        if bound >> 8 * size == 0:
-            return _packer(width, size, code)
-    raise ValueError(f"degree bound {bound} does not fit a 64-bit exponent")
-
-
 @lru_cache(maxsize=None)
-def _packer(width: int, size: int, code: str, lex: bool = False) -> tuple[Callable, Callable]:
+def _packer(width: int, size: int, code: str = "", lex: bool = False) -> tuple[Callable, Callable]:
+    """``(pack, unpack)`` between exponent tuples and keys in fields of ``size`` bytes."""
+    code = code or dict(_FIELDS).get(size, "")
+    shift = 8 * size * width
+    mask = (1 << shift) - 1
+    if not code:  # fields wider than `struct` reads, one by one
+        field, offsets = (1 << 8 * size) - 1, range(0, shift, 8 * size)
+        return (
+            lambda e: (sum(e) << shift) - sum(x << b for x, b in zip(e, offsets)),
+            lambda keys: [tuple((-k & mask) >> b & field for b in offsets) for k in keys],
+        )
     # A pad byte keeps the layout non-empty, as `iter_unpack` needs, in a ring
     # with no variables; it is the top byte of every packed value, 0.
     nbytes = size * width + 1
@@ -320,8 +353,6 @@ def _packer(width: int, size: int, code: str, lex: bool = False) -> tuple[Callab
             lambda keys: layout.iter_unpack(b"".join([k.to_bytes(nbytes, "big") for k in keys])),
         )
     layout = struct.Struct(f"<{width}{code}x")
-    shift = 8 * size * width
-    mask = (1 << shift) - 1
 
     def pack(e: Exponents) -> int:
         return (sum(e) << shift) - from_bytes(layout.pack(*e), "little")
@@ -333,11 +364,26 @@ def _packer(width: int, size: int, code: str, lex: bool = False) -> tuple[Callab
     return pack, unpack
 
 
+def _terms_in(p: Polynomial, size: int) -> tuple:
+    """The stored terms of ``p`` with keys in fields of ``size`` bytes, in the same order."""
+    if p._size == size:
+        return p._terms
+    pack, unpack = _packer(len(p.ring), size)[0], _packer(len(p.ring), p._size)[1]
+    return tuple(zip(map(pack, unpack([k for k, _ in p._terms])), [c for _, c in p._terms]))
+
+
+def _from_acc(ring: Ring, acc: Mapping[int, Coefficient], size: int) -> Polynomial:
+    """The polynomial of ``acc``, keys in fields of ``size`` bytes mapped to coefficients."""
+    keys = sorted([k for k, c in acc.items() if c], reverse=True)
+    coeffs = [acc[k] for k in keys]
+    if {*map(type, coeffs)} - {int}:
+        coeffs = [_exact(c) for c in coeffs]
+    p = _polynomial(ring, tuple(zip(keys, coeffs)), size)
+    own = _field_size(max(p.total_degree(), 0))
+    return p if own == size else _polynomial(ring, _terms_in(p, own), own)
+
+
 _ONE = ((0, 1),)  # the packed constant 1
-
-
-def _packed(p: Polynomial, pack: Callable) -> list[tuple[int, Coefficient]]:
-    return [(pack(e), c) for e, c in p.terms]
 
 
 def _mul_into(out: dict[int, Coefficient], left, right, scale: Coefficient = 1) -> dict:
@@ -383,15 +429,6 @@ def _substitute_packed(terms, images) -> dict[int, Coefficient]:
     return acc
 
 
-def _unpacked(ring: Ring, acc: Mapping[int, Coefficient], unpack: Callable) -> Polynomial:
-    # Descending packed order is descending grevlex, the canonical order.
-    keys = sorted([k for k, c in acc.items() if c], reverse=True)
-    coeffs = [acc[k] for k in keys]
-    if {*map(type, coeffs)} - {int}:
-        coeffs = [_exact(c) for c in coeffs]
-    return Polynomial(ring, tuple(zip(unpack(keys), coeffs)))
-
-
 def fold_substitute(
     maps: Sequence[Polynomial],
     start: Sequence[Polynomial],
@@ -419,13 +456,13 @@ def fold_substitute(
     for index in order:
         current = [_degree_bound(m.terms, current + block_degrees[index]) for m in maps]
         bound = max([bound, *current])
-    pack, unpack = _packing(len(target), bound)
-    values = [_packed(p, pack) for p in start]
-    packed_blocks = [[_packed(p, pack) for p in block] for block in blocks]
+    size = _field_size(bound, kernel=True)
+    values = [_terms_in(p, size) for p in start]
+    packed_blocks = [[_terms_in(p, size) for p in block] for block in blocks]
     for index in order:
         images = values + packed_blocks[index]
         values = [[t for t in _substitute_packed(m.terms, images).items() if t[1]] for m in maps]
-    return tuple(_unpacked(target, dict(v), unpack) for v in values)
+    return tuple(_from_acc(target, dict(v), size) for v in values)
 
 
 def embed(p: Polynomial, ring: Ring) -> Polynomial:
@@ -457,10 +494,9 @@ class GroebnerBasis:
     order: str
     basis: tuple[Polynomial, ...]
     stats: Mapping[str, int] = field(default_factory=dict, compare=False)
-    # The `_Packing` `groebner` finished in and the basis packed in it, so
-    # that `ideal_member` packs only its operand; a basis built directly has none.
+    # The `_Packing` `groebner` finished in, so that `ideal_member` packs
+    # only its operand; a basis built directly has none.
     _packing: _Packing | None = field(default=None, compare=False, repr=False)
-    _packed: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def ring(self) -> Ring:
@@ -468,8 +504,8 @@ class GroebnerBasis:
 
     @cached_property
     def _divisors(self) -> list[tuple]:
-        """The packed basis prepared for `_reduce`, at the first membership test."""
-        return [self._packing.prepare(terms) for terms in self._packed]
+        """The basis prepared for `_reduce`, at the first membership test."""
+        return [self._packing.prepare(_keys_in(g, self._packing)) for g in self.basis]
 
 
 class _Overflow(Exception):
@@ -491,7 +527,8 @@ class _Packing:
 
     def __init__(self, width: int, size: int, code: str, order: str) -> None:
         bits, lex = 8 * size, order == LEX
-        self.bits, self.lex, (self.pack, self.unpack) = bits, lex, _packer(width, size, code, lex)
+        self.size, self.bits, self.lex = size, bits, lex
+        self.pack, self.unpack = _packer(width, size, code, lex)
         shift = bits * width
         self.mask = (1 << shift) - 1
         ones = sum(1 << bits * i for i in range(width))  # a degree: top field of fields * ones
@@ -509,19 +546,24 @@ class _Packing:
 
         self.lcm = lcm
 
-    def terms(self, p: Polynomial) -> list[tuple[int, Coefficient]]:
-        return sorted(_packed(p, self.pack), reverse=True)
-
-    def polynomial(self, ring: Ring, terms) -> Polynomial:
-        if self.lex:
-            exponents = self.unpack([k for k, _ in terms])
-            return Polynomial.from_dict(ring, dict(zip(exponents, [c for _, c in terms])))
-        return _unpacked(ring, dict(terms), self.unpack)
-
     def prepare(self, terms) -> tuple:
         """``(lm plain fields, lm, lc, tail)`` of a divisor's packed ``terms``, largest first."""
         lm, lc = terms[0]
         return (lm if self.lex else -lm & self.mask), lm, lc, terms[1:]
+
+
+def _keys_in(p: Polynomial, packing: _Packing) -> Sequence[tuple[int, Coefficient]]:
+    """The terms of ``p`` in ``packing``, largest first: as stored unless lex or in other fields."""
+    if not packing.lex:
+        return _terms_in(p, packing.size)
+    return sorted([(packing.pack(e), c) for e, c in p.terms], reverse=True)
+
+
+def _from_packing(ring: Ring, terms, packing: _Packing) -> Polynomial:
+    """The polynomial of packed ``terms``, largest first in ``packing``, nonzero."""
+    if packing.lex:
+        return Polynomial(ring, zip(packing.unpack([k for k, _ in terms]), [c for _, c in terms]))
+    return _from_acc(ring, dict(terms), packing.size)
 
 
 def _packed_run(width: int, order: str, degree: int, run: Callable):
@@ -603,8 +645,8 @@ def normal_form(p: Polynomial | _Packed, divisors, order: str = GREVLEX) -> Poly
     divisors = [g for g in divisors if not g.is_zero()]
 
     def run(packing: _Packing) -> Polynomial:
-        prepared = [packing.prepare(packing.terms(g)) for g in divisors]
-        return packing.polynomial(p.ring, _reduce(packing.terms(p), prepared, packing))
+        prepared = [packing.prepare(_keys_in(g, packing)) for g in divisors]
+        return _from_packing(p.ring, _reduce(_keys_in(p, packing), prepared, packing), packing)
 
     return _packed_run(len(p.ring), order, max(_degrees([p, *divisors])), run)
 
@@ -654,7 +696,7 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
     members: dict[int, tuple] = {}  # the divisor set
     # Pairs pop in order of (lcm, i, j); the lcm's plain fields ride along.
     pairs: list[tuple] = []
-    incoming = [_monic(packing.terms(g)) for g in reversed(generators)]
+    incoming = [_monic(_keys_in(g, packing)) for g in reversed(generators)]
     while incoming or pairs:
         if incoming:
             h = incoming.pop()
@@ -722,8 +764,8 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
     if stats_stream is not None:
         line = " ".join(f"{k}={v}" for k, v in count.items())
         print(f"groebner {order}, {len(ideal.ring)} variables: {line}", file=stats_stream)
-    basis_out = tuple(packing.polynomial(ideal.ring, terms) for terms in reduced)
-    return GroebnerBasis(ideal, order, basis_out, count, packing, tuple(reduced))
+    basis_out = tuple(_from_packing(ideal.ring, terms, packing) for terms in reduced)
+    return GroebnerBasis(ideal, order, basis_out, count, packing)
 
 
 def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
@@ -737,7 +779,7 @@ def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
     packing = gb._packing
     if packing is not None and p.total_degree() < 1 << packing.bits - 1:
         try:
-            return not _reduce(packing.terms(p), gb._divisors, packing)
+            return not _reduce(_keys_in(p, packing), gb._divisors, packing)
         except _Overflow:
             pass
     return normal_form(p, gb.basis, gb.order).is_zero()
@@ -819,11 +861,17 @@ def format_polynomial(p: Polynomial) -> str:
     term with a higher power is spelled out, so no table grows with an
     exponent.
     """
-    if not p.terms:
+    if not p._terms:
         return "0"
     tables = [*map(_powers, p.ring)]
     pieces = []
-    for exponents, coeff in p.terms:
+    width, keys = len(p.ring), [k for k, _ in p._terms]
+    if p._size == 1:  # the plain fields' bytes are the exponents
+        mask = (1 << 8 * width) - 1
+        rows = [(-k & mask).to_bytes(width, "little") for k in keys]
+    else:
+        rows = _packer(width, p._size)[1](keys)
+    for exponents, (_, coeff) in zip(rows, p._terms):
         try:
             monomial = "*".join(filter(None, map(getitem, tables, exponents)))
         except IndexError:  # a power above the tables

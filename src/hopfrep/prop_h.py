@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .groups import FiniteGroup, FreeWord, ParseError, evaluate_word, format_word
 from .groups import SIZE_LIMIT, to_postfix, tokenize
@@ -64,7 +64,12 @@ class HMorphism:
 
 
 def identity_morphism(n: int) -> HMorphism:
-    return HMorphism(n, n, tuple(FreeWord.generator(n, i) for i in range(1, n + 1)))
+    # The words x1 .. xn are reduced and in range, so FreeWord's checks are skipped.
+    words = [object.__new__(FreeWord) for _ in range(n)]
+    for i, word in enumerate(words, 1):
+        object.__setattr__(word, "rank", n)
+        object.__setattr__(word, "letters", ((i, 1),))
+    return HMorphism(n, n, tuple(words))
 
 
 # Name -> morphism of the six generating operations.
@@ -102,14 +107,19 @@ def tensor_h(f: HMorphism, g: HMorphism) -> HMorphism:
 
     A result wider than `SIZE_LIMIT` raises ArityError before it is built.
     """
-    dom = f.dom + g.dom
-    cod = f.cod + g.cod
-    if dom > SIZE_LIMIT or cod > SIZE_LIMIT:
-        raise ArityError(f"a tensor of width {max(dom, cod)} is more than {SIZE_LIMIT}")
+    dom, cod = _tensor_arity((f.dom, f.cod), (g.dom, g.cod))
     words = tuple(w.shift(0, dom) for w in f.words) + tuple(
         w.shift(f.dom, dom) for w in g.words
     )
     return HMorphism(dom, cod, words)
+
+
+def _tensor_arity(f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+    """``(dom, cod)`` of a tensor of arities ``f`` and ``g``, refused above `SIZE_LIMIT`."""
+    dom, cod = f[0] + g[0], f[1] + g[1]
+    if dom > SIZE_LIMIT or cod > SIZE_LIMIT:
+        raise ArityError(f"a tensor of width {max(dom, cod)} is more than {SIZE_LIMIT}")
+    return dom, cod
 
 
 def format_hmorphism(h: HMorphism) -> str:
@@ -169,24 +179,52 @@ def eval_term(term: GeneratorTerm) -> HMorphism:
 
     Two terms equal modulo the Hopf relations evaluate to the same
     HMorphism; ill-typed terms raise ArityError, and so does a term whose
-    width would pass `SIZE_LIMIT` (`Id` and `tensor_h` refuse it before
-    building any word).  The walk keeps its own stack, so the depth of a
-    term is bounded only by memory.
+    width would pass `SIZE_LIMIT`.  Before an identity wider than
+    `_UNCHECKED_WIDTH` is built, the widths of the whole term are worked out
+    from its leaves, so a term too wide builds no such ``id:k``; narrower
+    identities cost at most a constant times the term's own size before
+    `tensor_h` refuses the width.
+    """
+    checked = False
+
+    def leaf(node: Gen | Id) -> HMorphism:
+        nonlocal checked
+        if type(node) is Gen:
+            return generator_morphism(node.name)
+        if node.width > _UNCHECKED_WIDTH and not checked:
+            _fold_term(term, _leaf_arity, lambda inner, outer: (inner[0], outer[1]), _tensor_arity)
+            checked = True
+        return identity_morphism(node.width)
+
+    return _fold_term(term, leaf, compose_h, tensor_h)
+
+
+_UNCHECKED_WIDTH = 64
+
+
+def _leaf_arity(node: Gen | Id) -> tuple[int, int]:
+    if type(node) is Id:
+        return node.width, node.width
+    return GENERATORS[node.name].dom, GENERATORS[node.name].cod
+
+
+def _fold_term(term: GeneratorTerm, leaf: Callable, compose: Callable, tensor: Callable):
+    """``term`` folded bottom up by ``leaf``, ``compose(inner, outer)`` and ``tensor(left, right)``.
+
+    The walk keeps its own stack, so the depth of a term is bounded only by memory.
     """
     pending: list = [term]
-    values: list[HMorphism] = []
+    values: list = []
     while pending:
         node = pending.pop()
         kind = type(node)
         if kind is Compose:
-            pending += (compose_h, node.outer, node.inner)
+            pending += (compose, node.outer, node.inner)
         elif kind is Tensor:
-            pending += (tensor_h, node.right, node.left)
-        elif kind is Gen:
-            values.append(generator_morphism(node.name))
-        elif kind is Id:
-            values.append(identity_morphism(node.width))
-        elif node is compose_h or node is tensor_h:
+            pending += (tensor, node.right, node.left)
+        elif kind is Gen or kind is Id:
+            values.append(leaf(node))
+        elif node is compose or node is tensor:
             second = values.pop()
             values[-1] = node(values[-1], second)
         else:

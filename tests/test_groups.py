@@ -209,6 +209,66 @@ def test_invalid_tables_rejected():
         FiniteGroup.from_table([[0, 1], [1, 2]])  # not closed
 
 
+def _table_error_oracle(table):
+    """The first failure of a group table, searched entry by entry; None for a group."""
+    n = len(table)
+    identity = next(
+        (e for e in range(n) if all(table[e][a] == a == table[a][e] for a in range(n))), None
+    )
+    if identity is None:
+        return "table has no two-sided identity"
+    for a in range(n):
+        if not any(table[a][b] == identity == table[b][a] for b in range(n)):
+            return f"element {a} has no two-sided inverse"
+    generators, reached = [], {identity}
+    for a in range(n):
+        if a not in reached:
+            generators.append(a)
+            reached |= {a}
+            while True:
+                more = {table[x][y] for x in reached for y in reached} - reached
+                if not more:
+                    break
+                reached |= more
+    for t in generators:
+        for a in range(n):
+            for b in range(n):
+                if table[table[a][t]][b] != table[a][table[t][b]]:
+                    return f"associativity fails at ({a}, {t}, {b})"
+    return None
+
+
+# The smallest loop that is not a group: a Latin square with identity 0.
+_LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def test_table_checks_name_the_first_failure_an_entry_search_names():
+    rng = random.Random(431)
+    tables = [_LOOP_5, [[0, 1, 2], [1, 2, 0], [2, 1, 0]], [[1, 0], [1, 0]]]
+    for _ in range(40):  # relabeled loops, and group tables with one entry changed
+        relabel = list(range(5))
+        rng.shuffle(relabel)
+        loop = [[0] * 5 for _ in range(5)]
+        for a, b in itertools.product(range(5), repeat=2):
+            loop[relabel[a]][relabel[b]] = relabel[_LOOP_5[a][b]]
+        tables.append(loop)
+        broken = [list(row) for row in rng.choice((symmetric_group(3), cyclic_group(6))).table]
+        a, b = rng.randrange(6), rng.randrange(6)
+        broken[a][b] = rng.randrange(6)
+        tables.append(broken)
+    failures = 0
+    for table in tables:
+        expected = _table_error_oracle(table)
+        if expected is None:
+            assert FiniteGroup.from_table(table).table == tuple(map(tuple, table))
+            continue
+        failures += expected.startswith("associativity")
+        with pytest.raises(GroupTableError) as err:
+            FiniteGroup.from_table(table)
+        assert str(err.value) == expected, table
+    assert failures >= 40
+
+
 def test_make_finite_group_specs(tmp_path):
     assert make_finite_group("cyclic:3").order == 3
     assert make_finite_group("sym:3").order == 6

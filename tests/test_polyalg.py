@@ -874,6 +874,75 @@ def test_format_tables_stay_capped():
     assert polyalg._powers.cache_info().maxsize is not None
 
 
+# -- one value, one stored form ----------------------------------------------
+#
+# A polynomial's packed fields follow from its total degree, so a value built
+# along any path compares, hashes and prints the same.  Exponents sit at the
+# edges of the field widths: 127/128 (a Groebner guard bit), 255/256,
+# 65535/65536, and 2^64 and above, past the 64-bit kernels.
+
+_EDGE_EXPONENTS = (0, 1, 2, 127, 128, 255, 256, 65535, 65536, 2**32, 2**64 - 1, 2**64, 2**70)
+_edge_terms = st.dictionaries(
+    st.tuples(*[st.sampled_from(_EDGE_EXPONENTS)] * 3), _kernel_coeffs, max_size=4
+)
+_PADDED = ("a", *RING, "b")
+
+
+def _built_every_way(mapping):
+    """The polynomial of ``mapping`` from each path that can build it."""
+    items = [(e, c) for e, c in mapping.items() if c]
+    base = Polynomial.from_dict(RING, mapping)
+    swap = {"x": "y", "y": "x"}
+    built = [
+        base,
+        Polynomial(RING, items[::-1]),
+        Polynomial(RING, base.terms),
+        parse_polynomial(str(base), RING),
+        base.rename(RING, swap).rename(RING, swap),
+        -(-base),
+        base + X**300 - X**300,  # through 2-byte fields and back
+        base + 1 - 1,
+    ]
+    if base.total_degree() < 2**64:  # the degree bound of the 64-bit kernels
+        monomials = (c * X ** e[0] * Y ** e[1] * Z ** e[2] for e, c in items)
+        built.append(sum(monomials, Polynomial.zero(RING)))
+        swapped = {"x": Y, "y": X, "z": Z}
+        built.append(base.substitute(swapped).substitute(swapped))
+        built.append(base * 1 * Polynomial.one(RING))
+    return built
+
+
+@settings(max_examples=80, deadline=None)
+@given(_edge_terms)
+@example({(255, 0, 0): 1, (0, 1, 0): -1})
+@example({(256, 0, 0): Fraction(1, 2), (0, 0, 65535): 1})
+@example({(2**64, 0, 0): 1, (0, 2**64 - 1, 0): 3})
+def test_equal_values_built_along_every_path_are_one_value(mapping):
+    built = _built_every_way(mapping)
+    base = built[0]
+    for p in built:
+        assert p == base and hash(p) == hash(base), (p, base)
+        assert str(p) == str(base) == _format_oracle(p)
+        assert p.terms == base.terms and Polynomial(RING, p.terms) == p
+    padded = Polynomial.from_dict(_PADDED, {(0, *e, 0): c for e, c in mapping.items()})
+    assert polyalg.embed(base, _PADDED) == padded and str(padded) == str(base)
+
+
+def test_the_stored_form_follows_the_degree_not_the_path():
+    # The same value from a product in 1-byte fields and from a cancellation
+    # out of 2-byte fields.
+    narrow = X**127 * X
+    from_wide = (X**128 + X**300) - X**300
+    assert narrow == from_wide and hash(narrow) == hash(from_wide)
+    assert narrow._size == from_wide._size == 1
+    assert (X**255)._size == 1 and (X**256)._size == 2 and (X**65536)._size == 4
+    assert Polynomial(RING, (((2**64, 0, 0), 1),))._size == 16
+    with pytest.raises(ValueError, match="repeated"):
+        Polynomial(RING, (((1, 0, 0), 1), ((1, 0, 0), 2)))
+    with pytest.raises(ValueError, match="exponents for the ring"):
+        Polynomial(RING, (((1, -1, 0), 1),))
+
+
 def test_parse_errors_carry_column():
     with pytest.raises(PolynomialParseError) as err:
         P("x + $")

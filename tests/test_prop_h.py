@@ -178,6 +178,27 @@ def test_eval_term_bounds_the_evaluated_width(monkeypatch):
         Id(5)
 
 
+def test_a_term_too_wide_builds_no_identity(monkeypatch):
+    from hopfrep import prop_h
+
+    def refuse(n):
+        raise AssertionError(f"id:{n} was built")
+
+    monkeypatch.setattr(prop_h, "identity_morphism", refuse)
+    term = parse_term("id:1000000 * id:1000000 * id:1000000 * id:1000000")
+    with pytest.raises(ArityError, match="a tensor of width 2000000 is more than 1000000"):
+        eval_term(term)
+    # The same check runs where the width is given by generators around an identity.
+    with pytest.raises(ArityError, match="a tensor of width 1000002 is more than 1000000"):
+        eval_term(parse_term("(mu * id:1000000) . (delta * id:1000000)"))
+
+
+def test_identity_morphism_words_are_the_generators():
+    for n in (0, 1, 3):
+        generators = tuple(FreeWord.generator(n, i) for i in range(1, n + 1))
+        assert identity_morphism(n).words == generators
+
+
 def test_term_errors_name_their_column():
     with pytest.raises(TermSyntaxError) as err:
         parse_term("mu . )")
