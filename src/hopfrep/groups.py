@@ -96,6 +96,15 @@ class FreeWord:
         sign = 1 if exponent > 0 else -1
         return FreeWord(rank, ((index, sign),) * abs(exponent))
 
+    @staticmethod
+    def generators(rank: int) -> tuple["FreeWord", ...]:
+        """``x1 .. x_rank``, built without the checks: one letter each is reduced and in range."""
+        words = tuple(object.__new__(FreeWord) for _ in range(rank))
+        for i, word in enumerate(words, 1):
+            object.__setattr__(word, "rank", rank)
+            object.__setattr__(word, "letters", ((i, 1),))
+        return words
+
     def __len__(self) -> int:
         return len(self.letters)
 

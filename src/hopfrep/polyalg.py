@@ -19,16 +19,16 @@ descending grevlex, and while every exponent stays below ``2**8w`` the
 product of two monomials is the sum of their keys.  A `Polynomial` keeps
 keys in the narrowest w of 1, 2, 4, 8, 16, ... bytes that holds its
 degree, so one value has one stored form, and every kernel reads and
-returns keys; exponent tuples exist only on input and in
-`Polynomial.terms`.  One packed product loop serves ``*``, ``**``,
-`substitute` and `fold_substitute`, in the smallest w of at most 8 bytes
-that holds a degree bound on every monomial it can form: ``deg a + deg
-b`` for a product, ``k * deg a`` for a k-th power, and for
-`fold_substitute` (`substitute` is one step of it) the largest
-``sum(e[i] * deg(value[i]))`` at every step of the fold, since a map need
-not raise degree monotonically.  `groebner` and `normal_form` add a guard
-bit atop each field and rerun in wider fields on overflow (`_Packing`).
-Operands in other fields, and lex runs, are repacked.
+returns keys; exponent tuples exist only on input, in `Polynomial.terms`
+and in `rename` when it reorders variables.  One packed product loop
+serves ``*``, ``**``, `substitute` and `fold_substitute`, in the
+smallest w of at most 8 bytes that holds a degree bound on every
+monomial it can form: ``deg a + deg b`` for a product, ``k * deg a`` for
+a k-th power, and for `fold_substitute` (`substitute` is one step of
+it) the largest ``sum(e[i] * deg(value[i]))`` at every step of the fold,
+since a map need not raise degree monotonically.  `groebner` and
+`normal_form` add a guard bit atop each field and rerun in wider fields
+on overflow (`_Packing`); lex runs and operands in other fields repack.
 """
 
 from __future__ import annotations
@@ -364,16 +364,21 @@ def _packer(width: int, size: int, code: str = "", lex: bool = False) -> tuple[C
     return pack, unpack
 
 
-def _terms_in(p: Polynomial, size: int) -> tuple:
-    """The stored terms of ``p`` with keys in fields of ``size`` bytes, in the same order."""
-    if p._size == size:
+def _terms_in(p: Polynomial, size: int, lex: bool = False) -> Sequence[tuple[int, Coefficient]]:
+    """The terms of ``p`` with keys in fields of ``size`` bytes, largest first (in lex if asked)."""
+    if p._size == size and not lex:
         return p._terms
-    pack, unpack = _packer(len(p.ring), size)[0], _packer(len(p.ring), p._size)[1]
-    return tuple(zip(map(pack, unpack([k for k, _ in p._terms])), [c for _, c in p._terms]))
+    width = len(p.ring)
+    pack, unpack = _packer(width, size, "", lex)[0], _packer(width, p._size)[1]
+    terms = zip(map(pack, unpack([k for k, _ in p._terms])), [c for _, c in p._terms])
+    return sorted(terms, reverse=True) if lex else tuple(terms)
 
 
-def _from_acc(ring: Ring, acc: Mapping[int, Coefficient], size: int) -> Polynomial:
-    """The polynomial of ``acc``, keys in fields of ``size`` bytes mapped to coefficients."""
+def _from_acc(ring: Ring, acc: Mapping[int, Coefficient], size: int, lex=False) -> Polynomial:
+    """The polynomial of ``acc``, which maps keys in ``size``-byte fields to coefficients."""
+    if lex:  # a remainder or basis element of a lex run: nonzero coefficients
+        exponents = _packer(len(ring), size, "", True)[1](list(acc))
+        return Polynomial(ring, zip(exponents, acc.values()))
     keys = sorted([k for k, c in acc.items() if c], reverse=True)
     coeffs = [acc[k] for k in keys]
     if {*map(type, coeffs)} - {int}:
@@ -505,7 +510,8 @@ class GroebnerBasis:
     @cached_property
     def _divisors(self) -> list[tuple]:
         """The basis prepared for `_reduce`, at the first membership test."""
-        return [self._packing.prepare(_keys_in(g, self._packing)) for g in self.basis]
+        packing = self._packing
+        return [packing.prepare(_terms_in(g, packing.size, packing.lex)) for g in self.basis]
 
 
 class _Overflow(Exception):
@@ -550,20 +556,6 @@ class _Packing:
         """``(lm plain fields, lm, lc, tail)`` of a divisor's packed ``terms``, largest first."""
         lm, lc = terms[0]
         return (lm if self.lex else -lm & self.mask), lm, lc, terms[1:]
-
-
-def _keys_in(p: Polynomial, packing: _Packing) -> Sequence[tuple[int, Coefficient]]:
-    """The terms of ``p`` in ``packing``, largest first: as stored unless lex or in other fields."""
-    if not packing.lex:
-        return _terms_in(p, packing.size)
-    return sorted([(packing.pack(e), c) for e, c in p.terms], reverse=True)
-
-
-def _from_packing(ring: Ring, terms, packing: _Packing) -> Polynomial:
-    """The polynomial of packed ``terms``, largest first in ``packing``, nonzero."""
-    if packing.lex:
-        return Polynomial(ring, zip(packing.unpack([k for k, _ in terms]), [c for _, c in terms]))
-    return _from_acc(ring, dict(terms), packing.size)
 
 
 def _packed_run(width: int, order: str, degree: int, run: Callable):
@@ -645,8 +637,10 @@ def normal_form(p: Polynomial | _Packed, divisors, order: str = GREVLEX) -> Poly
     divisors = [g for g in divisors if not g.is_zero()]
 
     def run(packing: _Packing) -> Polynomial:
-        prepared = [packing.prepare(_keys_in(g, packing)) for g in divisors]
-        return _from_packing(p.ring, _reduce(_keys_in(p, packing), prepared, packing), packing)
+        size, lex = packing.size, packing.lex
+        prepared = [packing.prepare(_terms_in(g, size, lex)) for g in divisors]
+        remainder = _reduce(_terms_in(p, size, lex), prepared, packing)
+        return _from_acc(p.ring, dict(remainder), size, lex)
 
     return _packed_run(len(p.ring), order, max(_degrees([p, *divisors])), run)
 
@@ -696,7 +690,7 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
     members: dict[int, tuple] = {}  # the divisor set
     # Pairs pop in order of (lcm, i, j); the lcm's plain fields ride along.
     pairs: list[tuple] = []
-    incoming = [_monic(_keys_in(g, packing)) for g in reversed(generators)]
+    incoming = [_monic(_terms_in(g, packing.size, packing.lex)) for g in reversed(generators)]
     while incoming or pairs:
         if incoming:
             h = incoming.pop()
@@ -764,7 +758,7 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
     if stats_stream is not None:
         line = " ".join(f"{k}={v}" for k, v in count.items())
         print(f"groebner {order}, {len(ideal.ring)} variables: {line}", file=stats_stream)
-    basis_out = tuple(_from_packing(ideal.ring, terms, packing) for terms in reduced)
+    basis_out = tuple(_from_acc(ideal.ring, dict(t), packing.size, packing.lex) for t in reduced)
     return GroebnerBasis(ideal, order, basis_out, count, packing)
 
 
@@ -779,7 +773,7 @@ def ideal_member(p: Polynomial, gb: GroebnerBasis) -> bool:
     packing = gb._packing
     if packing is not None and p.total_degree() < 1 << packing.bits - 1:
         try:
-            return not _reduce(_keys_in(p, packing), gb._divisors, packing)
+            return not _reduce(_terms_in(p, packing.size, packing.lex), gb._divisors, packing)
         except _Overflow:
             pass
     return normal_form(p, gb.basis, gb.order).is_zero()
@@ -865,12 +859,7 @@ def format_polynomial(p: Polynomial) -> str:
         return "0"
     tables = [*map(_powers, p.ring)]
     pieces = []
-    width, keys = len(p.ring), [k for k, _ in p._terms]
-    if p._size == 1:  # the plain fields' bytes are the exponents
-        mask = (1 << 8 * width) - 1
-        rows = [(-k & mask).to_bytes(width, "little") for k in keys]
-    else:
-        rows = _packer(width, p._size)[1](keys)
+    rows = _packer(len(p.ring), p._size)[1]([k for k, _ in p._terms])
     for exponents, (_, coeff) in zip(rows, p._terms):
         try:
             monomial = "*".join(filter(None, map(getitem, tables, exponents)))

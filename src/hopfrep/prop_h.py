@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 from .groups import FiniteGroup, FreeWord, ParseError, evaluate_word, format_word
 from .groups import SIZE_LIMIT, to_postfix, tokenize
@@ -64,12 +64,7 @@ class HMorphism:
 
 
 def identity_morphism(n: int) -> HMorphism:
-    # The words x1 .. xn are reduced and in range, so FreeWord's checks are skipped.
-    words = [object.__new__(FreeWord) for _ in range(n)]
-    for i, word in enumerate(words, 1):
-        object.__setattr__(word, "rank", n)
-        object.__setattr__(word, "letters", ((i, 1),))
-    return HMorphism(n, n, tuple(words))
+    return HMorphism(n, n, FreeWord.generators(n))
 
 
 # Name -> morphism of the six generating operations.
@@ -96,10 +91,17 @@ def generator_morphism(name: str) -> HMorphism:
 
 def compose_h(f: HMorphism, g: HMorphism) -> HMorphism:
     """``f`` then ``g``; each word of ``g`` has f's words substituted in."""
-    if f.cod != g.dom:
-        raise ArityError(f"cannot compose [{f.dom}]->[{f.cod}] with [{g.dom}]->[{g.cod}]")
+    if f.cod != g.dom:  # raises; checked here first to keep the common case cheap
+        _compose_arity((f.dom, f.cod), (g.dom, g.cod))
     words = tuple(w.substitute(f.words, rank=f.dom) for w in g.words)
     return HMorphism(f.dom, g.cod, words)
+
+
+def _compose_arity(f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
+    """``(dom, cod)`` of arities ``f`` then ``g``, refused unless they meet."""
+    if f[1] != g[0]:
+        raise ArityError(f"cannot compose [{f[0]}]->[{f[1]}] with [{g[0]}]->[{g[1]}]")
+    return f[0], g[1]
 
 
 def tensor_h(f: HMorphism, g: HMorphism) -> HMorphism:
@@ -187,31 +189,29 @@ def eval_term(term: GeneratorTerm) -> HMorphism:
     """
     checked = False
 
-    def leaf(node: Gen | Id) -> HMorphism:
+    def identity(width: int) -> HMorphism:
         nonlocal checked
-        if type(node) is Gen:
-            return generator_morphism(node.name)
-        if node.width > _UNCHECKED_WIDTH and not checked:
-            _fold_term(term, _leaf_arity, lambda inner, outer: (inner[0], outer[1]), _tensor_arity)
+        if width > _UNCHECKED_WIDTH and not checked:
+            _fold_term(term, _generator_arity, lambda k: (k, k), _compose_arity, _tensor_arity)
             checked = True
-        return identity_morphism(node.width)
+        return identity_morphism(width)
 
-    return _fold_term(term, leaf, compose_h, tensor_h)
+    return _fold_term(term, generator_morphism, identity, compose_h, tensor_h)
 
 
 _UNCHECKED_WIDTH = 64
 
 
-def _leaf_arity(node: Gen | Id) -> tuple[int, int]:
-    if type(node) is Id:
-        return node.width, node.width
-    return GENERATORS[node.name].dom, GENERATORS[node.name].cod
+def _generator_arity(name: str) -> tuple[int, int]:
+    return GENERATORS[name].dom, GENERATORS[name].cod
 
 
-def _fold_term(term: GeneratorTerm, leaf: Callable, compose: Callable, tensor: Callable):
-    """``term`` folded bottom up by ``leaf``, ``compose(inner, outer)`` and ``tensor(left, right)``.
+def _fold_term(term: GeneratorTerm, generator, identity, compose, tensor):
+    """``term`` folded bottom up.
 
-    The walk keeps its own stack, so the depth of a term is bounded only by memory.
+    Leaves go to ``generator(name)`` and ``identity(width)``, nodes to
+    ``compose(inner, outer)`` and ``tensor(left, right)``.  The walk keeps
+    its own stack, so the depth of a term is bounded only by memory.
     """
     pending: list = [term]
     values: list = []
@@ -222,8 +222,10 @@ def _fold_term(term: GeneratorTerm, leaf: Callable, compose: Callable, tensor: C
             pending += (compose, node.outer, node.inner)
         elif kind is Tensor:
             pending += (tensor, node.right, node.left)
-        elif kind is Gen or kind is Id:
-            values.append(leaf(node))
+        elif kind is Gen:
+            values.append(generator(node.name))
+        elif kind is Id:
+            values.append(identity(node.width))
         elif node is compose or node is tensor:
             second = values.pop()
             values[-1] = node(values[-1], second)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -191,11 +192,16 @@ def test_a_term_too_wide_builds_no_identity(monkeypatch):
     # The same check runs where the width is given by generators around an identity.
     with pytest.raises(ArityError, match="a tensor of width 1000002 is more than 1000000"):
         eval_term(parse_term("(mu * id:1000000) . (delta * id:1000000)"))
+    # A term both ill-typed and too wide names the first fault evaluation meets.
+    message = re.escape("cannot compose [1000000]->[1000000] with [2]->[1]")
+    with pytest.raises(ArityError, match=message):
+        eval_term(parse_term("(mu . id:1000000) * id:1000000"))
 
 
 def test_identity_morphism_words_are_the_generators():
     for n in (0, 1, 3):
         generators = tuple(FreeWord.generator(n, i) for i in range(1, n + 1))
+        assert FreeWord.generators(n) == generators
         assert identity_morphism(n).words == generators
 
 
