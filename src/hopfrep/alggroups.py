@@ -613,9 +613,13 @@ def lie_from_constants(
     for plane in parsed:
         if len(plane) != d or any(len(row) != d for row in plane):
             raise LieDataError("constants must form a d x d x d array")
-    if basis is None:
-        basis = tuple(f"e{i}" for i in range(1, d + 1))
-    data = LieAlgebraData(name, d, tuple(basis), parsed)
+    basis = tuple(f"e{i}" for i in range(1, d + 1)) if basis is None else tuple(basis)
+    if len(basis) != d:
+        raise LieDataError(f"basis must have {d} names, not {len(basis)}")
+    repeated = next((b for i, b in enumerate(basis) if b in basis[:i]), None)
+    if repeated is not None:
+        raise LieDataError(f"basis repeats {repeated!r}")
+    data = LieAlgebraData(name, d, basis, parsed)
     _validate_lie(data)
     return data
 

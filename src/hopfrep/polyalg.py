@@ -307,7 +307,7 @@ def _polynomial(ring: Ring, terms: tuple, size: int, p: Polynomial | None = None
 # Packed monomials (see the module docstring)
 # ---------------------------------------------------------------------------
 
-_FIELDS = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+_FIELDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # field size in bytes -> `struct` code
 
 
 def _field_size(degree: int, kernel: bool = False) -> int:
@@ -331,9 +331,9 @@ def _degree_bound(terms, degrees: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _packer(width: int, size: int, code: str = "", lex: bool = False) -> tuple[Callable, Callable]:
+def _packer(width: int, size: int, lex: bool = False) -> tuple[Callable, Callable]:
     """``(pack, unpack)`` between exponent tuples and keys in fields of ``size`` bytes."""
-    code = code or dict(_FIELDS).get(size, "")
+    code = _FIELDS.get(size)
     shift = 8 * size * width
     mask = (1 << shift) - 1
     if not code:  # fields wider than `struct` reads, one by one
@@ -369,7 +369,7 @@ def _terms_in(p: Polynomial, size: int, lex: bool = False) -> Sequence[tuple[int
     if p._size == size and not lex:
         return p._terms
     width = len(p.ring)
-    pack, unpack = _packer(width, size, "", lex)[0], _packer(width, p._size)[1]
+    pack, unpack = _packer(width, size, lex)[0], _packer(width, p._size)[1]
     terms = zip(map(pack, unpack([k for k, _ in p._terms])), [c for _, c in p._terms])
     return sorted(terms, reverse=True) if lex else tuple(terms)
 
@@ -377,7 +377,7 @@ def _terms_in(p: Polynomial, size: int, lex: bool = False) -> Sequence[tuple[int
 def _from_acc(ring: Ring, acc: Mapping[int, Coefficient], size: int, lex=False) -> Polynomial:
     """The polynomial of ``acc``, which maps keys in ``size``-byte fields to coefficients."""
     if lex:  # a remainder or basis element of a lex run: nonzero coefficients
-        exponents = _packer(len(ring), size, "", True)[1](list(acc))
+        exponents = _packer(len(ring), size, True)[1](list(acc))
         return Polynomial(ring, zip(exponents, acc.values()))
     keys = sorted([k for k, c in acc.items() if c], reverse=True)
     coeffs = [acc[k] for k in keys]
@@ -531,10 +531,10 @@ class _Packing:
     `_Overflow`.
     """
 
-    def __init__(self, width: int, size: int, code: str, order: str) -> None:
+    def __init__(self, width: int, size: int, order: str) -> None:
         bits, lex = 8 * size, order == LEX
         self.size, self.bits, self.lex = size, bits, lex
-        self.pack, self.unpack = _packer(width, size, code, lex)
+        self.pack, self.unpack = _packer(width, size, lex)
         shift = bits * width
         self.mask = (1 << shift) - 1
         ones = sum(1 << bits * i for i in range(width))  # a degree: top field of fields * ones
@@ -561,10 +561,10 @@ class _Packing:
 def _packed_run(width: int, order: str, degree: int, run: Callable):
     """``run(packing)`` in the narrowest fields that hold ``degree``, wider after an overflow."""
     # Lex starts at 16 bits: its reductions raise exponents far past the input's.
-    for size, code in _FIELDS[order == LEX :]:
+    for size in list(_FIELDS)[order == LEX :]:
         if degree >> 8 * size - 1 == 0:
             try:
-                return run(_Packing(width, size, code, order))
+                return run(_Packing(width, size, order))
             except _Overflow:
                 pass
     raise ValueError("a Groebner computation outgrew 63-bit exponents")

@@ -135,12 +135,18 @@ def format_hmorphism(h: HMorphism) -> str:
 
 
 class GeneratorTerm:
-    """Formal expression over the generating operations; see subclasses."""
+    """Formal expression over the generating operations; see subclasses.
+
+    A term is typed as it is built: each node stores its ``(dom, cod)``,
+    worked out from its children's, so a composite whose arities do not
+    meet, or one wider than `SIZE_LIMIT`, raises ArityError and never exists.
+    """
+
+    _arity: tuple[int, int]
 
     def arity(self) -> tuple[int, int]:
-        """``(dom, cod)`` of the normal form; an ill-typed term raises ArityError."""
-        morphism = eval_term(self)
-        return (morphism.dom, morphism.cod)
+        """``(dom, cod)`` of the term, stored when it was built."""
+        return self._arity
 
 
 @dataclass(frozen=True)
@@ -148,7 +154,8 @@ class Gen(GeneratorTerm):
     name: str
 
     def __post_init__(self) -> None:
-        generator_morphism(self.name)
+        morphism = generator_morphism(self.name)
+        object.__setattr__(self, "_arity", (morphism.dom, morphism.cod))
 
 
 @dataclass(frozen=True)
@@ -160,6 +167,7 @@ class Id(GeneratorTerm):
             raise ArityError("identity width must be non-negative")
         if self.width > SIZE_LIMIT:
             raise ArityError(f"identity width {self.width} is more than {SIZE_LIMIT}")
+        object.__setattr__(self, "_arity", (self.width, self.width))
 
 
 @dataclass(frozen=True)
@@ -169,41 +177,27 @@ class Compose(GeneratorTerm):
     outer: GeneratorTerm
     inner: GeneratorTerm
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_arity", _compose_arity(self.inner._arity, self.outer._arity))
+
 
 @dataclass(frozen=True)
 class Tensor(GeneratorTerm):
     left: GeneratorTerm
     right: GeneratorTerm
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_arity", _tensor_arity(self.left._arity, self.right._arity))
+
 
 def eval_term(term: GeneratorTerm) -> HMorphism:
     """Normalize a formal composite to its free-group-tuple morphism.
 
     Two terms equal modulo the Hopf relations evaluate to the same
-    HMorphism; ill-typed terms raise ArityError, and so does a term whose
-    width would pass `SIZE_LIMIT`.  Before an identity wider than
-    `_UNCHECKED_WIDTH` is built, the widths of the whole term are worked out
-    from its leaves, so a term too wide builds no such ``id:k``; narrower
-    identities cost at most a constant times the term's own size before
-    `tensor_h` refuses the width.
+    HMorphism.  The term was typed when it was built, so evaluation meets
+    no arity fault and no width past `SIZE_LIMIT`.
     """
-    checked = False
-
-    def identity(width: int) -> HMorphism:
-        nonlocal checked
-        if width > _UNCHECKED_WIDTH and not checked:
-            _fold_term(term, _generator_arity, lambda k: (k, k), _compose_arity, _tensor_arity)
-            checked = True
-        return identity_morphism(width)
-
-    return _fold_term(term, generator_morphism, identity, compose_h, tensor_h)
-
-
-_UNCHECKED_WIDTH = 64
-
-
-def _generator_arity(name: str) -> tuple[int, int]:
-    return GENERATORS[name].dom, GENERATORS[name].cod
+    return _fold_term(term, generator_morphism, identity_morphism, compose_h, tensor_h)
 
 
 def _fold_term(term: GeneratorTerm, generator, identity, compose, tensor):

@@ -398,6 +398,17 @@ def test_lie_validation_errors():
         lie_from_constants(constants)
 
 
+def test_lie_basis_must_name_each_element_once():
+    constants = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    assert lie_from_constants(constants, ["e", "f", "h"]).basis == ("e", "f", "h")
+    with pytest.raises(LieDataError, match="^basis must have 3 names, not 1$"):
+        lie_from_constants(constants, ["e"])
+    with pytest.raises(LieDataError, match="^basis must have 3 names, not 4$"):
+        lie_from_constants(constants, ["a", "b", "c", "d"])
+    with pytest.raises(LieDataError, match="^basis repeats 'e'$"):
+        lie_from_constants(constants, ["e", "f", "e"])
+
+
 def test_lie_expr_parsing_and_evaluation(sl2_lie):
     names = ("a", "b")
     expr = parse_lie_expr("[a,[a,b]] - 2*b", names)

@@ -199,6 +199,13 @@ def test_term_wider_than_the_limit_exits_two(monkeypatch):
     assert (code, out, err) == (2, "", "error: a tensor of width 8 is more than 4\n")
 
 
+def test_a_type_fault_is_named_before_a_later_unknown_symbol():
+    # Terms are typed as they are built, so the composite is refused before ``foo`` is read.
+    for term in ("mu . mu", "(mu . mu) * foo"):
+        code, out, err = invoke("normalize", "--term", term)
+        assert (code, out, err) == (2, "", "error: cannot compose [2]->[1] with [2]->[1]\n")
+
+
 @pytest.mark.parametrize("groebner", [[], ["--groebner"]], ids=["plain", "groebner"])
 def test_unknown_order_exits_two_before_reading_inputs(tmp_path, groebner):
     # The group file does not exist: the order is checked first.
@@ -218,6 +225,17 @@ def test_missing_presentation_key_is_named(tmp_path):
         code, out, err = invoke(*argv)
         assert code == 2, argv
         assert err == 'error: presentation JSON: missing key "generators"\n', argv
+
+
+@pytest.mark.parametrize(
+    "basis, message", [(["e"], "basis must have 3 names, not 1"), (["e", "f", "e"], "basis repeats 'e'")]
+)
+def test_lie_basis_is_checked_against_the_constants(tmp_path, abelian_lie_file, basis, message):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps({"basis": basis, "constants": [[[0] * 3] * 3] * 3}))
+    code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
 
 
 def test_missing_lie_constants_key_is_named(tmp_path, abelian_lie_file):

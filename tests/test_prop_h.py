@@ -84,13 +84,39 @@ def test_generator_arities_and_unknown_names():
 
 def test_term_arity_is_the_normal_form_arity():
     assert Tensor(Gen("mu"), Compose(Gen("delta"), Id(1))).arity() == (3, 3)
-    with pytest.raises(ArityError):
-        Compose(Gen("mu"), Gen("mu")).arity()
-    # Deeper than the interpreter's recursion limit: arity walks no recursion.
+    rng = random.Random(29)
+    for _ in range(200):
+        term, _ = random_term(rng)
+        morphism = eval_term(term)
+        assert term.arity() == (morphism.dom, morphism.cod)
+    # Deeper than the interpreter's recursion limit: building and typing walk no recursion.
     term = Id(1)
     for _ in range(5000):
         term = Compose(Gen("antipode"), term)
     assert term.arity() == (1, 1)
+
+
+def test_term_arity_evaluates_nothing(monkeypatch):
+    from hopfrep import prop_h
+
+    term = parse_term("(mu * id:2) . (delta * tau) . (id:1 * eta * S)")
+
+    def refuse(*args):
+        raise AssertionError("arity evaluated the term")
+
+    for name in ("eval_term", "compose_h", "identity_morphism"):
+        monkeypatch.setattr(prop_h, name, refuse)
+    assert term.arity() == (2, 3)
+
+
+def test_an_ill_typed_term_cannot_be_built():
+    with pytest.raises(ArityError, match=re.escape("cannot compose [2]->[1] with [2]->[1]")):
+        Compose(Gen("mu"), Gen("mu"))
+    with pytest.raises(ArityError, match="a tensor of width 1000001 is more than 1000000"):
+        Tensor(Id(10**6), Id(1))
+    # A type fault is met as the term is built, before a later unknown symbol is read.
+    with pytest.raises(ArityError, match=re.escape("cannot compose [2]->[1] with [2]->[1]")):
+        parse_term("(mu . mu) * foo")
 
 
 def test_compose_delta_mu():
@@ -174,7 +200,7 @@ def test_eval_term_bounds_the_evaluated_width(monkeypatch):
     assert eval_term(parse_term("(eps * eps * eps * eps) . (eta * id:3)")).dom == 3
     for term, width in (("id:3 * id:2", 5), ("delta * delta * delta", 6), ("mu * mu * mu", 6)):
         with pytest.raises(ArityError, match=f"a tensor of width {width} is more than 4"):
-            eval_term(parse_term(term))
+            parse_term(term)
     with pytest.raises(ArityError, match="identity width 5 is more than 4"):
         Id(5)
 
@@ -186,16 +212,15 @@ def test_a_term_too_wide_builds_no_identity(monkeypatch):
         raise AssertionError(f"id:{n} was built")
 
     monkeypatch.setattr(prop_h, "identity_morphism", refuse)
-    term = parse_term("id:1000000 * id:1000000 * id:1000000 * id:1000000")
     with pytest.raises(ArityError, match="a tensor of width 2000000 is more than 1000000"):
-        eval_term(term)
+        parse_term("id:1000000 * id:1000000 * id:1000000 * id:1000000")
     # The same check runs where the width is given by generators around an identity.
     with pytest.raises(ArityError, match="a tensor of width 1000002 is more than 1000000"):
-        eval_term(parse_term("(mu * id:1000000) . (delta * id:1000000)"))
-    # A term both ill-typed and too wide names the first fault evaluation meets.
+        parse_term("(mu * id:1000000) . (delta * id:1000000)")
+    # A term both ill-typed and too wide names the first fault met while it is built.
     message = re.escape("cannot compose [1000000]->[1000000] with [2]->[1]")
     with pytest.raises(ArityError, match=message):
-        eval_term(parse_term("(mu . id:1000000) * id:1000000"))
+        parse_term("(mu . id:1000000) * id:1000000")
 
 
 def test_identity_morphism_words_are_the_generators():
