@@ -598,7 +598,10 @@ def make_lie(spec) -> LieAlgebraData:
         basis = data.array("basis") if "basis" in data else None
         numbers = data.array("constants", 3, (int, float, str), "numbers")
         constants = [[[data.rational("constants", x) for x in row] for row in p] for p in numbers]
-        return lie_from_constants(constants, basis, str(data.get("name", "custom")))
+        try:
+            return lie_from_constants(constants, basis, str(data.get("name", "custom")))
+        except LieDataError as err:
+            raise data.fail(str(err)) from None
     raise LieDataError(f"unknown Lie algebra spec {text!r}")
 
 

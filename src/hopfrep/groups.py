@@ -63,13 +63,37 @@ def _free_reduce(letters: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
     return tuple(stack)
 
 
+def _word(rank: int, letters: tuple[tuple[int, int], ...]) -> FreeWord:
+    """A word built unchecked (fields set in the instance dict) from valid ``letters``."""
+    word = object.__new__(FreeWord)
+    fields = word.__dict__
+    fields["rank"], fields["letters"] = rank, letters
+    return word
+
+
+def _substitute(words: Sequence[FreeWord], images: Sequence[FreeWord], rank: int) -> tuple:
+    """``words`` with ``x<i>`` replaced by ``images[i-1]``; the caller checks every rank."""
+    table: dict = {}  # letter -> its image's letters, an inverse built on first use
+    out = []
+    for word in words:
+        letters: list = []
+        for letter in word.letters:
+            if letter not in table:
+                image = images[letter[0] - 1]
+                table[letter] = (image if letter[1] == 1 else image.inverse()).letters
+            letters += table[letter]
+        out.append(_word(rank, _free_reduce(letters)))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """A freely reduced word in the free group on ``rank`` generators.
 
     Letters are pairs ``(generator index, exponent)`` with 1-based indices
     and exponents +1 or -1; the empty tuple is the identity.  Construction
-    reduces the letter sequence, so adjacent inverse pairs never survive.
+    checks and reduces the letter sequence, so adjacent inverse pairs never
+    survive; operations build their valid results unchecked, by `_word`.
     """
 
     rank: int
@@ -98,12 +122,8 @@ class FreeWord:
 
     @staticmethod
     def generators(rank: int) -> tuple["FreeWord", ...]:
-        """``x1 .. x_rank``, built without the checks: one letter each is reduced and in range."""
-        words = tuple(object.__new__(FreeWord) for _ in range(rank))
-        for i, word in enumerate(words, 1):
-            object.__setattr__(word, "rank", rank)
-            object.__setattr__(word, "letters", ((i, 1),))
-        return words
+        """``x1 .. x_rank``: one letter each is reduced and in range."""
+        return tuple(_word(rank, ((i, 1),)) for i in range(1, rank + 1))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -111,10 +131,10 @@ class FreeWord:
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if self.rank != other.rank:
             raise WordError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return FreeWord(self.rank, self.letters + other.letters)
+        return _word(self.rank, _free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "FreeWord":
-        return FreeWord(self.rank, tuple((i, -e) for i, e in reversed(self.letters)))
+        return _word(self.rank, tuple((i, -e) for i, e in reversed(self.letters)))
 
     def substitute(
         self, images: Sequence["FreeWord"], rank: int | None = None
@@ -136,14 +156,7 @@ class FreeWord:
             raise WordError("target rank is required when substituting with no images")
         if len(ranks) != 1:
             raise WordError("substitution images have unequal ranks")
-        target = ranks.pop()
-        if self.rank == 0:
-            return FreeWord(target)
-        letters: list[tuple[int, int]] = []
-        for index, exponent in self.letters:
-            image = images[index - 1] if exponent == 1 else images[index - 1].inverse()
-            letters.extend(image.letters)
-        return FreeWord(target, tuple(letters))
+        return _substitute((self,), images, ranks.pop())[0]
 
     def shift(self, offset: int, rank: int) -> "FreeWord":
         """The same word with letter indices moved up by ``offset`` inside rank ``rank``."""

@@ -113,7 +113,7 @@ class Polynomial:
     def terms(self) -> tuple[tuple[Exponents, Coefficient], ...]:
         """``(exponents, coefficient)`` pairs in descending grevlex order."""
         exponents = _packer(len(self.ring), self._size)[1]([k for k, _ in self._terms])
-        return tuple(zip(exponents, [c for _, c in self._terms]))
+        return tuple(zip(map(tuple, exponents), [c for _, c in self._terms]))
 
     # -- construction -------------------------------------------------
 
@@ -358,7 +358,9 @@ def _packer(width: int, size: int, lex: bool = False) -> tuple[Callable, Callabl
         return (sum(e) << shift) - from_bytes(layout.pack(*e), "little")
 
     def unpack(keys: Sequence[int]):
-        """The exponent tuples of packed monomials, in order."""
+        """The exponents of packed monomials, in order (1-byte fields as `bytes`, read lazily)."""
+        if size == 1:
+            return ((-k & mask).to_bytes(width, "little") for k in keys)
         return layout.iter_unpack(b"".join([(-k & mask).to_bytes(nbytes, "little") for k in keys]))
 
     return pack, unpack

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .groups import FiniteGroup, FreeWord, ParseError, evaluate_word, format_word
-from .groups import SIZE_LIMIT, to_postfix, tokenize
+from .groups import SIZE_LIMIT, _substitute, _word, to_postfix, tokenize
 
 
 class ArityError(ValueError):
@@ -63,8 +63,16 @@ class HMorphism:
         return format_hmorphism(self)
 
 
+def _morphism(dom: int, cod: int, words: tuple[FreeWord, ...]) -> HMorphism:
+    """A morphism built without the checks, for ``cod`` rank-``dom`` words by construction."""
+    h = object.__new__(HMorphism)
+    fields = h.__dict__
+    fields["dom"], fields["cod"], fields["words"] = dom, cod, words
+    return h
+
+
 def identity_morphism(n: int) -> HMorphism:
-    return HMorphism(n, n, FreeWord.generators(n))
+    return _morphism(n, n, FreeWord.generators(n))
 
 
 # Name -> morphism of the six generating operations.
@@ -93,8 +101,7 @@ def compose_h(f: HMorphism, g: HMorphism) -> HMorphism:
     """``f`` then ``g``; each word of ``g`` has f's words substituted in."""
     if f.cod != g.dom:  # raises; checked here first to keep the common case cheap
         _compose_arity((f.dom, f.cod), (g.dom, g.cod))
-    words = tuple(w.substitute(f.words, rank=f.dom) for w in g.words)
-    return HMorphism(f.dom, g.cod, words)
+    return _morphism(f.dom, g.cod, _substitute(g.words, f.words, f.dom))
 
 
 def _compose_arity(f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
@@ -109,11 +116,10 @@ def tensor_h(f: HMorphism, g: HMorphism) -> HMorphism:
 
     A result wider than `SIZE_LIMIT` raises ArityError before it is built.
     """
-    dom, cod = _tensor_arity((f.dom, f.cod), (g.dom, g.cod))
-    words = tuple(w.shift(0, dom) for w in f.words) + tuple(
-        w.shift(f.dom, dom) for w in g.words
-    )
-    return HMorphism(dom, cod, words)
+    (dom, cod), offset = _tensor_arity((f.dom, f.cod), (g.dom, g.cod)), f.dom
+    words = [_word(dom, w.letters) for w in f.words]
+    words += [_word(dom, tuple([(i + offset, e) for i, e in w.letters])) for w in g.words]
+    return _morphism(dom, cod, tuple(words))
 
 
 def _tensor_arity(f: tuple[int, int], g: tuple[int, int]) -> tuple[int, int]:
@@ -279,53 +285,56 @@ class AxiomCheck:
     sides: tuple[HMorphism, ...]
 
 
-def _axiom_terms() -> list[tuple[str, list[GeneratorTerm]]]:
+def _axiom_terms() -> tuple[tuple[str, tuple[GeneratorTerm, ...]], ...]:
     mu, delta, S = Gen("mu"), Gen("delta"), Gen("antipode")
     eta, eps, tau = Gen("eta"), Gen("epsilon"), Gen("tau")
     i1 = Id(1)
-    return [
-        ("associativity", [Compose(mu, Tensor(mu, i1)), Compose(mu, Tensor(i1, mu))]),
-        ("unit", [Compose(mu, Tensor(eta, i1)), Compose(mu, Tensor(i1, eta)), i1]),
+    return (
+        ("associativity", (Compose(mu, Tensor(mu, i1)), Compose(mu, Tensor(i1, mu)))),
+        ("unit", (Compose(mu, Tensor(eta, i1)), Compose(mu, Tensor(i1, eta)), i1)),
         (
             "coassociativity",
-            [Compose(Tensor(i1, delta), delta), Compose(Tensor(delta, i1), delta)],
+            (Compose(Tensor(i1, delta), delta), Compose(Tensor(delta, i1), delta)),
         ),
-        ("counit", [Compose(Tensor(i1, eps), delta), Compose(Tensor(eps, i1), delta), i1]),
+        ("counit", (Compose(Tensor(i1, eps), delta), Compose(Tensor(eps, i1), delta), i1)),
         (
             "multiplication-comultiplication compatibility",
-            [
+            (
                 Compose(delta, mu),
                 Compose(
                     Compose(Tensor(mu, mu), Tensor(i1, Tensor(tau, i1))),
                     Tensor(delta, delta),
                 ),
-            ],
+            ),
         ),
         (
             "antipode",
-            [
+            (
                 Compose(Compose(mu, Tensor(i1, S)), delta),
                 Compose(eta, eps),
                 Compose(Compose(mu, Tensor(S, i1)), delta),
-            ],
+            ),
         ),
         (
             "antipode-comultiplication compatibility",
-            [Compose(delta, S), Compose(Compose(Tensor(S, S), tau), delta)],
+            (Compose(delta, S), Compose(Compose(Tensor(S, S), tau), delta)),
         ),
         (
             "antipode-multiplication compatibility",
-            [Compose(S, mu), Compose(Compose(mu, tau), Tensor(S, S))],
+            (Compose(S, mu), Compose(Compose(mu, tau), Tensor(S, S))),
         ),
-        ("cocommutativity", [Compose(tau, delta), delta]),
-        ("involutive antipode", [Compose(S, S), i1]),
-    ]
+        ("cocommutativity", (Compose(tau, delta), delta)),
+        ("involutive antipode", (Compose(S, S), i1)),
+    )
+
+
+_AXIOM_TERMS = _axiom_terms()  # terms are immutable and typed when built
 
 
 def verify_axioms() -> list[AxiomCheck]:
     """Evaluate both sides of each Hopf axiom and compare the normal forms."""
     checks = []
-    for number, (name, terms) in enumerate(_axiom_terms(), start=1):
+    for number, (name, terms) in enumerate(_AXIOM_TERMS, start=1):
         sides = tuple(eval_term(t) for t in terms)
         holds = all(side == sides[0] for side in sides[1:])
         checks.append(AxiomCheck(number, name, holds, sides))

@@ -227,15 +227,33 @@ def test_missing_presentation_key_is_named(tmp_path):
         assert err == 'error: presentation JSON: missing key "generators"\n', argv
 
 
+_ZERO_CUBE = [[[0] * 3] * 3] * 3
+
+
 @pytest.mark.parametrize(
-    "basis, message", [(["e"], "basis must have 3 names, not 1"), (["e", "f", "e"], "basis repeats 'e'")]
+    "basis, constants, message",
+    [  # the ids are those the test had before it took the constants too
+        pytest.param(
+            ["e"], _ZERO_CUBE, "basis must have 3 names, not 1",
+            id="basis0-basis must have 3 names, not 1",
+        ),
+        pytest.param(
+            ["e", "f", "e"], _ZERO_CUBE, "basis repeats 'e'", id="basis1-basis repeats 'e'"
+        ),
+        pytest.param(
+            ["e", "f"], [[[0] * 2] * 2, [[0] * 3] * 2], "constants must form a d x d x d array",
+            id="basis2-constants must form a d x d x d array",
+        ),
+    ],
 )
-def test_lie_basis_is_checked_against_the_constants(tmp_path, abelian_lie_file, basis, message):
+def test_lie_basis_is_checked_against_the_constants(
+    tmp_path, abelian_lie_file, basis, constants, message
+):
     path = tmp_path / "basis.json"
-    path.write_text(json.dumps({"basis": basis, "constants": [[[0] * 3] * 3] * 3}))
+    path.write_text(json.dumps({"basis": basis, "constants": constants}))
     code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", str(path))
     assert (code, out) == (2, "")
-    assert err == f"error: {message}\n"
+    assert err == f"error: Lie JSON: {message}\n"
 
 
 def test_missing_lie_constants_key_is_named(tmp_path, abelian_lie_file):

@@ -678,7 +678,7 @@ def test_packed_divisibility_lcm_and_order_agree_with_tuples(order, size):
     monomials = edges + [draw() for _ in range(300)]
     for a, b in itertools.product(monomials[:40], monomials):
         ka, kb = packing.pack(a), packing.pack(b)
-        assert list(packing.unpack([ka])) == [a]
+        assert [*map(tuple, packing.unpack([ka]))] == [a]
         assert (ka < kb) == (key(a) < key(b)) and (ka == kb) == (a == b)
         assert (not (fields(b) - fields(a)) & packing.guards) == _tuple_divides(a, b)
         lcm = _tuple_lcm(a, b)

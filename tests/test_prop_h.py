@@ -119,6 +119,87 @@ def test_an_ill_typed_term_cannot_be_built():
         parse_term("(mu . mu) * foo")
 
 
+def _public_identity(n):
+    return HMorphism(n, n, tuple(FreeWord(n, ((i, 1),)) for i in range(1, n + 1)))
+
+
+def _public_inverse(w):
+    return FreeWord(w.rank, tuple((i, -e) for i, e in reversed(w.letters)))
+
+
+def _public_substitute(w, images, rank):
+    letters = []
+    for i, e in w.letters:
+        letters += (images[i - 1] if e == 1 else _public_inverse(images[i - 1])).letters
+    return FreeWord(rank, tuple(letters))
+
+
+def _public_compose(f, g):
+    return HMorphism(f.dom, g.cod, tuple(_public_substitute(w, f.words, f.dom) for w in g.words))
+
+
+def _public_tensor(f, g):
+    dom = f.dom + g.dom
+    shifted = [tuple((i + f.dom, e) for i, e in w.letters) for w in g.words]
+    words = [FreeWord(dom, w.letters) for w in f.words] + [FreeWord(dom, x) for x in shifted]
+    return HMorphism(dom, f.cod + g.cod, tuple(words))
+
+
+def _public_eval(term):
+    """`eval_term` spelled out with the validating constructors only."""
+    if isinstance(term, Gen):
+        return generator_morphism(term.name)
+    if isinstance(term, Id):
+        return _public_identity(term.width)
+    if isinstance(term, Compose):
+        return _public_compose(_public_eval(term.inner), _public_eval(term.outer))
+    return _public_tensor(_public_eval(term.left), _public_eval(term.right))
+
+
+def _assert_valid_word(w, rank):
+    """The invariants `FreeWord(...)` enforces: rank, indices, exponents, free reduction."""
+    assert type(w) is FreeWord and w.rank == rank and type(w.letters) is tuple
+    assert all(type(x) is tuple and 1 <= x[0] <= rank and x[1] in (1, -1) for x in w.letters)
+    assert all(a != (b[0], -b[1]) for a, b in zip(w.letters, w.letters[1:]))
+
+
+def _assert_valid_morphism(h):
+    """The invariants `HMorphism(...)` enforces, on every word."""
+    assert type(h) is HMorphism and h.dom >= 0 and h.cod >= 0
+    assert type(h.words) is tuple and len(h.words) == h.cod
+    for w in h.words:
+        _assert_valid_word(w, h.dom)
+
+
+def test_results_built_by_construction_equal_the_validated_ones():
+    rng = random.Random(19)
+    for _ in range(200):
+        term, _ = random_term(rng)
+        got, expected = eval_term(term), _public_eval(term)
+        _assert_valid_morphism(got)
+        assert got == expected and hash(got) == hash(expected)
+
+        a, b, c = (rng.randint(0, 4) for _ in range(3))
+        f, g = random_hmorphism(rng, a, b, 8), random_hmorphism(rng, b, c, 8)
+        h = random_hmorphism(rng, rng.randint(0, 4), rng.randint(0, 4), 8)
+        for got, expected in [
+            (compose_h(f, g), _public_compose(f, g)),
+            (tensor_h(f, h), _public_tensor(f, h)),
+            (tensor_h(h, g), _public_tensor(h, g)),
+            (identity_morphism(a), _public_identity(a)),
+        ]:
+            _assert_valid_morphism(got)
+            assert got == expected and hash(got) == hash(expected)
+
+        k = random_hmorphism(rng, rng.randint(0, 4), a, 8)  # images for f's words
+        for w, images in [(w, f) for w in g.words] + [(w, k) for w in f.words]:
+            _assert_valid_word(w.inverse(), w.rank)
+            assert w.inverse() == _public_inverse(w)
+            got = w.substitute(images.words, rank=images.dom)
+            _assert_valid_word(got, images.dom)
+            assert got == _public_substitute(w, images.words, images.dom)
+
+
 def test_compose_delta_mu():
     assert compose_h(generator_morphism("delta"), generator_morphism("mu")) == single(
         "x1^2", 1
@@ -254,6 +335,16 @@ def test_term_formatting_example():
 
 
 def test_all_axioms_hold():
+    checks = verify_axioms()
+    assert len(checks) == 10
+    assert all(c.holds for c in checks)
+
+
+def test_axiom_terms_are_built_once(monkeypatch):
+    def refuse(self):
+        raise AssertionError("an axiom term was built again")
+
+    monkeypatch.setattr(Compose, "__post_init__", refuse)
     checks = verify_axioms()
     assert len(checks) == 10
     assert all(c.holds for c in checks)
