@@ -16,12 +16,12 @@ the concrete form of the iterated tensor power of the coordinate ring.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Mapping, Sequence
 
-from .groups import FreeWord, JsonObject, ParseError, to_postfix, tokenize
+from .groups import FreeWord, JsonObject, ParseError, Presentation, read_spec, to_postfix, tokenize
 from .polyalg import (
     GREVLEX,
     VARIABLE_NAME,
@@ -229,29 +229,16 @@ def cotangent_at_identity(group: PresentedCommHopf) -> CotangentData:
 # ---------------------------------------------------------------------------
 
 
-def _determinant(
-    matrix: Sequence[Sequence[Polynomial]], adjugate: Sequence[Sequence[Polynomial]], ring: Ring
-) -> Polynomial:
-    """The first row of ``matrix`` times the first column of its adjugate."""
-    return sum((m * row[0] for m, row in zip(matrix[0], adjugate)), Polynomial.zero(ring))
-
-
-def _adjugate(matrix: Sequence[Sequence[Polynomial]], ring: Ring) -> list[list[Polynomial]]:
-    size = len(matrix)
-    if size == 1:
-        return [[Polynomial.one(ring)]]
-    out = [[Polynomial.zero(ring)] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(size):
-            minor = [
-                [matrix[r][c] for c in range(size) if c != i]
-                for r in range(size) if r != j
-            ]
-            cofactor = _determinant(minor, _adjugate(minor, ring), ring)
-            if (i + j) % 2:
-                cofactor = -cofactor
-            out[i][j] = cofactor
-    return out
+def _determinant(matrix: Sequence[Sequence[Polynomial]], ring: Ring) -> Polynomial:
+    """Leibniz's signed sum over permutations; the empty matrix gives 1."""
+    total = Polynomial.zero(ring)
+    for perm in itertools.permutations(range(len(matrix))):
+        term = Polynomial.one(ring)
+        for row, column in enumerate(perm):
+            term = term * matrix[row][column]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 def _validate_hopf(group: PresentedCommHopf) -> None:
@@ -330,17 +317,21 @@ def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
 
     var = {v: Polynomial.variable(variables, v) for v in variables}
     x = [[var[f"x{i}{j}"] for j in range(1, size + 1)] for i in range(1, size + 1)]
-    adj = _adjugate(x, variables)
-    det = _determinant(x, adj, variables)
+    det = _determinant(x, variables)
+
+    def adjugate(i: int, j: int) -> Polynomial:
+        """Entry (i, j) of the adjugate: the signed minor of x without row j and column i."""
+        minor = [[x[r][c] for c in range(size) if c != i] for r in range(size) if r != j]
+        return (-1) ** (i + j) * _determinant(minor, variables)
 
     if has_t:
         ideal = Ideal(variables, (var["t"] * det - 1,))
         antipode = tuple(
-            adj[i][j] * var["t"] for i in range(size) for j in range(size)
+            adjugate(i, j) * var["t"] for i in range(size) for j in range(size)
         ) + (det,)
     else:
         ideal = Ideal(variables, (det - 1,))
-        antipode = tuple(adj[i][j] for i in range(size) for j in range(size))
+        antipode = tuple(adjugate(i, j) for i in range(size) for j in range(size))
 
     doubled = _doubled(variables)
     dvar = {v: Polynomial.variable(doubled, v) for v in doubled}
@@ -475,32 +466,24 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _shipped_group(text: str) -> PresentedCommHopf:
-    """A shipped group, built and validated once per spec text."""
-    if text.startswith("torus:"):
-        return _torus_group(int(text.split(":", 1)[1]))
-    if text == "ga":
-        return _additive_group()
-    kind, _, size = text.partition(":")
-    return _matrix_group(kind, int(size))
+_SHIPPED_GROUPS = {
+    "gl:": functools.partial(_matrix_group, "gl"),
+    "sl:": functools.partial(_matrix_group, "sl"),
+    "torus:": _torus_group,
+    "ga": _additive_group,
+}
 
 
 def make_group(spec) -> PresentedCommHopf:
     """Build a presented group from a spec string.
 
-    ``gl:m`` / ``sl:m`` (m <= 3), ``torus:k`` (k <= 8), ``ga``, or a path to
-    a JSON file with the full presentation schema.
+    ``gl:m`` / ``sl:m`` (1 <= m <= 3), ``torus:k`` (1 <= k <= 8), ``ga``,
+    or a path to a JSON file with the full presentation schema.  A shipped
+    group is built and validated once per process.
     """
     if isinstance(spec, PresentedCommHopf):
         return spec
-    text = str(spec)
-    if text.startswith(("gl:", "sl:", "torus:")) or text == "ga":
-        return _shipped_group(text)
-    path = Path(text)
-    if not path.exists():
-        raise GroupDataError(f"unknown group spec {text!r}")
-    return _group_from_json(JsonObject(path, "group", GroupDataError))
+    return read_spec(spec, "group", GroupDataError, _SHIPPED_GROUPS, _group_from_json)
 
 
 # ---------------------------------------------------------------------------
@@ -564,45 +547,44 @@ def _validate_lie(data: LieAlgebraData) -> None:
                         )
 
 
-@functools.lru_cache(maxsize=None)
-def _shipped_lie(text: str) -> LieAlgebraData:
-    """A shipped Lie algebra, built and validated once per spec text."""
-    if text == "sl2":
-        c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
-        e, f, h = 0, 1, 2
-        c[h][e][e], c[e][h][e] = 2, -2
-        c[h][f][f], c[f][h][f] = -2, 2
-        c[e][f][h], c[f][e][h] = 1, -1
-        return lie_from_constants(c, ("e", "f", "h"), "sl2")
-    d = int(text.split(":", 1)[1])
+def _sl2_lie() -> LieAlgebraData:
+    c = [[[0] * 3 for _ in range(3)] for _ in range(3)]
+    e, f, h = 0, 1, 2
+    c[h][e][e], c[e][h][e] = 2, -2
+    c[h][f][f], c[f][h][f] = -2, 2
+    c[e][f][h], c[f][e][h] = 1, -1
+    return lie_from_constants(c, ("e", "f", "h"), "sl2")
+
+
+def _abelian_lie(d: int) -> LieAlgebraData:
     # Validation is O(d^5) over d^3 constants; the cap is the dimension of sl(3).
     if not 0 <= d <= 8:
         raise LieDataError("abelian Lie algebra supported for 0 <= d <= 8")
     return lie_from_constants([[[0] * d] * d] * d, name=f"abelian:{d}")
 
 
+def _lie_from_json(data: JsonObject) -> LieAlgebraData:
+    basis = data.array("basis") if "basis" in data else None
+    numbers = data.array("constants", 3, (int, float, str), "numbers")
+    constants = [[[data.rational("constants", x) for x in row] for row in p] for p in numbers]
+    try:
+        return lie_from_constants(constants, basis, str(data.get("name", "custom")))
+    except LieDataError as err:
+        raise data.fail(str(err)) from None
+
+
+_SHIPPED_LIE = {"sl2": _sl2_lie, "abelian:": _abelian_lie}
+
+
 def make_lie(spec) -> LieAlgebraData:
-    """Build a Lie algebra: ``sl2``, ``abelian:d`` (d <= 8), or explicit-constants JSON.
+    """Build a Lie algebra: ``sl2``, ``abelian:d`` (0 <= d <= 8), or explicit-constants JSON.
 
     ``sl2`` has basis (e, f, h) with [h,e] = 2e, [h,f] = -2f, [e,f] = h.
     A shipped algebra is built and validated once per process.
     """
     if isinstance(spec, LieAlgebraData):
         return spec
-    text = str(spec)
-    if text == "sl2" or text.startswith("abelian:"):
-        return _shipped_lie(text)
-    path = Path(text)
-    if path.exists():
-        data = JsonObject(path, "Lie", LieDataError)
-        basis = data.array("basis") if "basis" in data else None
-        numbers = data.array("constants", 3, (int, float, str), "numbers")
-        constants = [[[data.rational("constants", x) for x in row] for row in p] for p in numbers]
-        try:
-            return lie_from_constants(constants, basis, str(data.get("name", "custom")))
-        except LieDataError as err:
-            raise data.fail(str(err)) from None
-    raise LieDataError(f"unknown Lie algebra spec {text!r}")
+    return read_spec(spec, "Lie", LieDataError, _SHIPPED_LIE, _lie_from_json)
 
 
 def lie_from_constants(
@@ -630,33 +612,6 @@ def lie_from_constants(
 # ---------------------------------------------------------------------------
 # Lie presentations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LiePresentation:
-    generators: tuple[str, ...]
-    relators: tuple[tuple, ...] = ()
-
-    def __post_init__(self) -> None:
-        if len(set(self.generators)) != len(self.generators):
-            raise LieParseError("generator names must be distinct")
-
-    @property
-    def n_generators(self) -> int:
-        return len(self.generators)
-
-    @staticmethod
-    def free(n: int) -> "LiePresentation":
-        return LiePresentation(tuple(f"x{i}" for i in range(1, n + 1)), ())
-
-    @staticmethod
-    def from_json(source) -> "LiePresentation":
-        """Read ``{"generators": [...], "relators": [...]}`` from a path or a mapping."""
-        data = JsonObject(source, "presentation", LieParseError)
-        generators = data.array("generators")
-        texts = data.array("relators") if "relators" in data else ()
-        relators = tuple(parse_lie_expr(text, generators) for text in texts)
-        return LiePresentation(generators, relators)
 
 
 class LieParseError(ParseError):
@@ -712,6 +667,13 @@ def parse_lie_expr(text: str, names: Sequence[str]) -> tuple:
     if kinds[0]:
         raise LieParseError("a coefficient alone is not an element", number_at)
     return tuple(postfix)
+
+
+class LiePresentation(Presentation):
+    """A finitely presented Lie algebra: relators are `parse_lie_expr` postfix tuples."""
+
+    error = LieParseError
+    parse_relator = staticmethod(parse_lie_expr)
 
 
 def evaluate_lie_expr(

@@ -15,14 +15,11 @@ import functools
 import json
 import os
 import sys
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, Sequence
 
 # Each command imports the rest of the library itself, so a launch loads
 # only what its command runs (`axioms` never compiles the polynomial layer).
 from . import groups, prop_h
-
-if TYPE_CHECKING:
-    from .repvariety import RepIdealPresentation
 
 
 class CliError(ValueError):
@@ -84,12 +81,15 @@ def _emit_json(stream: IO[str], payload) -> None:
     _emit(stream, json.dumps(payload, indent=2))
 
 
-def _emit_presentation(stream: IO[str], presentation: RepIdealPresentation) -> None:
-    _emit(stream, "variables: " + " ".join(presentation.ring))
-    for i, (g, source) in enumerate(
-        zip(presentation.ideal.generators, presentation.provenance)
-    ):
-        _emit(stream, f"g{i} [{source}]: {g}")
+def _emit_presentation(stream: IO[str], payload: dict) -> None:
+    """The text form of a `RepIdealPresentation.to_json` payload, from its strings."""
+    _emit(stream, "variables: " + " ".join(payload["variables"]))
+    for i, (g, provenance) in enumerate(zip(payload["ideal"], payload["provenance"])):
+        _emit(stream, f"g{i} [{provenance['source']}]: {g}")
+    if "groebner_basis" in payload:
+        _emit(stream, f"groebner ({payload['groebner_order']}):")
+        for g in payload["groebner_basis"]:
+            _emit(stream, f"  {g}")
 
 
 def _cmd_axioms(args, out: IO[str]) -> int:
@@ -161,19 +161,11 @@ def _cmd_rep_ideal(args, out: IO[str]) -> int:
         groups.GroupPresentation.from_json(args.group), alggroups.make_group(args.target)
     )
     payload = presentation.to_json()
-    basis = None
     if args.groebner:
-        basis = polyalg.groebner(presentation.ideal, order)
         payload["groebner_order"] = order
-        payload["groebner_basis"] = [str(g) for g in basis.basis]
-    if args.format == "json":
-        _emit_json(out, payload)
-    else:
-        _emit_presentation(out, presentation)
-        if basis is not None:
-            _emit(out, f"groebner ({order}):")
-            for g in basis.basis:
-                _emit(out, f"  {g}")
+        basis = polyalg.groebner(presentation.ideal, order).basis
+        payload["groebner_basis"] = [str(g) for g in basis]
+    (_emit_json if args.format == "json" else _emit_presentation)(out, payload)
     return 0
 
 
@@ -181,11 +173,8 @@ def _cmd_lie_rep_ideal(args, out: IO[str]) -> int:
     from . import alggroups, repvariety
 
     source = alggroups.LiePresentation.from_json(args.source)
-    presentation = repvariety.lie_rep_ideal(source, alggroups.make_lie(args.target))
-    if args.format == "json":
-        _emit_json(out, presentation.to_json())
-    else:
-        _emit_presentation(out, presentation)
+    payload = repvariety.lie_rep_ideal(source, alggroups.make_lie(args.target)).to_json()
+    (_emit_json if args.format == "json" else _emit_presentation)(out, payload)
     return 0
 
 

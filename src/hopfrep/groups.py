@@ -4,7 +4,7 @@ Words are kept freely reduced at all times.  Finite groups are plain
 multiplication tables validated on construction (identity, inverses, and
 associativity via Light's test on a greedily found generating set), with
 homomorphism enumeration by backtracking over generator images.
-`JsonObject` reads every JSON input file of the package.
+`JsonObject` reads every JSON input file of the package, `read_spec` every spec.
 
 Convention: products read left to right, ``mul(g, h)`` applies ``g``
 first, so permutations compose as ``(g*h)(i) = h(g(i))``.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class WordError(ValueError):
@@ -157,10 +157,6 @@ class FreeWord:
         if len(ranks) != 1:
             raise WordError("substitution images have unequal ranks")
         return _substitute((self,), images, ranks.pop())[0]
-
-    def shift(self, offset: int, rank: int) -> "FreeWord":
-        """The same word with letter indices moved up by ``offset`` inside rank ``rank``."""
-        return FreeWord(rank, tuple((i + offset, e) for i, e in self.letters))
 
     def __str__(self) -> str:
         return format_word(self)
@@ -368,45 +364,78 @@ class JsonObject:
         return tuple(self[key])
 
 
+_SPEC = re.compile(r"(?P<family>[^:]*:)(?P<k>-?[0-9]+)|(?P<name>[^:]*)")
+
+
+@functools.lru_cache(maxsize=None)
+def _build_shipped(builder: Callable, k: int | None):
+    """A shipped object, built and validated once per process."""
+    return builder() if k is None else builder(k)
+
+
+def read_spec(spec, kind: str, error: type[ValueError], shipped: Mapping[str, Callable], read):
+    """The object a spec names: ``shipped[name]()``, ``shipped[name:](k)`` or a JSON file.
+
+    ``k`` is written ``-?[0-9]+``, and each (builder, k) is built once per
+    process.  Any other spec is a path given to ``read`` as a `JsonObject`.
+    """
+    text = str(spec)
+    match = _SPEC.fullmatch(text)
+    key = match and (match["family"] or match["name"])
+    if key in shipped:
+        return _build_shipped(shipped[key], None if match["k"] is None else int(match["k"]))
+    if Path(text).exists():
+        return read(JsonObject(Path(text), kind, error))
+    raise error(f"unknown {kind} spec {text!r}")
+
+
 # ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class GroupPresentation:
-    """A finitely presented group: named generators and relator words.
-
-    Each relator ``r`` imposes ``r = e``; the empty relator list presents
-    a free group.
-    """
+class Presentation:
+    """Named generators and relators; a subclass sets ``error`` and ``parse_relator``."""
 
     generators: tuple[str, ...]
-    relators: tuple[FreeWord, ...] = ()
+    relators: tuple = ()
 
     def __post_init__(self) -> None:
         if len(set(self.generators)) != len(self.generators):
-            raise ValueError("generator names must be distinct")
-        for r in self.relators:
-            if r.rank != len(self.generators):
-                raise WordError("relator rank does not match generator count")
+            raise self.error("generator names must be distinct")
 
     @property
     def n_generators(self) -> int:
         return len(self.generators)
 
-    @staticmethod
-    def free(n: int) -> "GroupPresentation":
-        return GroupPresentation(tuple(f"x{i}" for i in range(1, n + 1)), ())
+    @classmethod
+    def free(cls, n: int):
+        return cls(tuple(f"x{i}" for i in range(1, n + 1)), ())
 
-    @staticmethod
-    def from_json(source) -> "GroupPresentation":
+    @classmethod
+    def from_json(cls, source):
         """Read ``{"generators": [...], "relators": [...]}`` from a path or a mapping."""
-        data = JsonObject(source, "presentation", WordError)
+        data = JsonObject(source, "presentation", cls.error)
         generators = data.array("generators")
         texts = data.array("relators") if "relators" in data else ()
-        relators = tuple(parse_word(text, generators) for text in texts)
-        return GroupPresentation(generators, relators)
+        return cls(generators, tuple(cls.parse_relator(text, generators) for text in texts))
+
+
+class GroupPresentation(Presentation):
+    """A finitely presented group: relators are words, each ``r`` imposing ``r = e``.
+
+    The empty relator list presents a free group.
+    """
+
+    error = WordError
+    parse_relator = staticmethod(parse_word)
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        for r in self.relators:
+            if r.rank != len(self.generators):
+                raise WordError("relator rank does not match generator count")
 
     def to_json(self) -> dict:
         return {
@@ -561,31 +590,26 @@ def symmetric_group(k: int) -> FiniteGroup:
     return FiniteGroup.from_table(table, [_cycle_notation(p) for p in elements])
 
 
-@functools.lru_cache(maxsize=None)
-def _shipped_finite_group(text: str) -> FiniteGroup:
-    """A shipped finite group, built and validated once per spec text."""
-    kind, _, k = text.partition(":")
-    return (cyclic_group if kind == "cyclic" else symmetric_group)(int(k))
+def _finite_group_from_json(data: JsonObject) -> FiniteGroup:
+    names = data.array("names") if "names" in data else None
+    return FiniteGroup.from_table(data.array("table", 2, int, "integers"), names)
+
+
+_SHIPPED_FINITE_GROUPS = {"cyclic:": cyclic_group, "sym:": symmetric_group}
 
 
 def make_finite_group(spec) -> FiniteGroup:
     """Build a finite group from a spec string or an explicit-table JSON file.
 
-    Accepted forms: ``cyclic:k`` (k <= 720), ``sym:k`` (k <= 6), or a path
-    to JSON ``{"table": [[...]], "names": [...]}``.  A shipped group is
+    Accepted forms: ``cyclic:k`` (1 <= k <= 720), ``sym:k`` (1 <= k <= 6), or a
+    path to JSON ``{"table": [[...]], "names": [...]}``.  A shipped group is
     built and validated once per process; a JSON file is read on every call.
     """
     if isinstance(spec, FiniteGroup):
         return spec
-    text = str(spec)
-    if text.startswith(("cyclic:", "sym:")):
-        return _shipped_finite_group(text)
-    path = Path(text)
-    if not path.exists():
-        raise GroupTableError(f"unknown finite group spec {text!r}")
-    data = JsonObject(path, "finite group", GroupTableError)
-    names = data.array("names") if "names" in data else None
-    return FiniteGroup.from_table(data.array("table", 2, int, "integers"), names)
+    return read_spec(
+        spec, "finite group", GroupTableError, _SHIPPED_FINITE_GROUPS, _finite_group_from_json
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,14 @@ from hopfrep.alggroups import (
     parse_lie_expr,
     trace_of_word,
 )
-from hopfrep.groups import FreeWord, parse_word
+from hopfrep.groups import (
+    FreeWord,
+    GroupPresentation,
+    GroupTableError,
+    WordError,
+    make_finite_group,
+    parse_word,
+)
 from hopfrep.polyalg import (
     Ideal,
     Polynomial,
@@ -117,6 +124,64 @@ def test_shipped_sizes():
         make_group("sl:4")
     with pytest.raises(GroupDataError):
         make_group("mystery:1")
+
+
+# One reader for every spec: a family name, then -?[0-9]+, or a JSON path.
+MALFORMED_SPECS = [
+    (make_group, GroupDataError, "group", "gl:x"),
+    (make_group, GroupDataError, "group", "gl:"),
+    (make_group, GroupDataError, "group", "sl: 3"),
+    (make_group, GroupDataError, "group", "sl:+3"),
+    (make_group, GroupDataError, "group", "torus:"),
+    (make_finite_group, GroupTableError, "finite group", "cyclic:zz"),
+    (make_finite_group, GroupTableError, "finite group", "cyclic: 4"),
+    (make_finite_group, GroupTableError, "finite group", "sym:"),
+    (make_lie, LieDataError, "Lie", "abelian:q"),
+]
+
+
+@pytest.mark.parametrize("make, error, kind, spec", MALFORMED_SPECS)
+def test_a_malformed_shipped_spec_is_an_unknown_spec(make, error, kind, spec):
+    with pytest.raises(error) as caught:
+        make(spec)
+    assert str(caught.value) == f"unknown {kind} spec {spec!r}"
+
+
+def test_a_shipped_object_is_built_once_per_k():
+    assert make_group("sl:03") is make_group("sl:3")
+    assert make_finite_group("cyclic:04") is make_finite_group("cyclic:4")
+    assert make_lie("abelian:02") is make_lie("abelian:2")
+
+
+@pytest.mark.parametrize(
+    "make, error, spec, message",
+    [
+        (make_group, GroupDataError, "sl:4", "sl(4): only sizes 1..3 ship"),
+        (make_group, GroupDataError, "torus:-1", "torus supported for 1 <= k <= 8"),
+        (make_lie, LieDataError, "abelian:-1", "abelian Lie algebra supported for 0 <= d <= 8"),
+        (make_lie, LieDataError, "abelian:9", "abelian Lie algebra supported for 0 <= d <= 8"),
+        (make_finite_group, GroupTableError, "cyclic:0", "cyclic group supported for 1 <= k <= 720"),
+        (make_finite_group, GroupTableError, "sym:7", "symmetric group supported for 1 <= k <= 6"),
+    ],
+)
+def test_shipped_caps_keep_their_messages(make, error, spec, message):
+    with pytest.raises(error) as caught:
+        make(spec)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "presentation, error", [(GroupPresentation, WordError), (LiePresentation, LieParseError)]
+)
+def test_both_presentation_kinds_share_one_base(presentation, error):
+    with pytest.raises(error, match="generator names must be distinct"):
+        presentation(("a", "a"))
+    with pytest.raises(error, match="generator names must be distinct"):
+        presentation.from_json({"generators": ["a", "a"]})
+    free = presentation.free(2)
+    assert type(free) is presentation
+    assert (free.generators, free.relators, free.n_generators) == (("x1", "x2"), (), 2)
+    assert type(presentation.from_json({"generators": ["a"]})) is presentation
 
 
 def test_custom_group_json(tmp_path):

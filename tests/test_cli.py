@@ -264,6 +264,23 @@ def test_missing_lie_constants_key_is_named(tmp_path, abelian_lie_file):
     assert err == 'error: Lie JSON: missing key "constants"\n'
 
 
+@pytest.mark.parametrize(
+    "spec, kind",
+    [
+        *[(spec, "group") for spec in ("gl:x", "gl:", "sl: 3", "sl:+3", "torus:")],
+        *[(spec, "finite group") for spec in ("cyclic:zz", "cyclic: 4", "sym:")],
+        ("abelian:q", "Lie"),
+    ],
+)
+def test_a_malformed_shipped_spec_exits_two(spec, kind, z2_file, abelian_lie_file):
+    command = {
+        "group": ("cotangent", "--target"),
+        "finite group": ("rep-count", "--group", z2_file, "--finite"),
+        "Lie": ("lie-rep-ideal", "--source", abelian_lie_file, "--target"),
+    }[kind]
+    assert invoke(*command, spec) == (2, "", f"error: unknown {kind} spec {spec!r}\n")
+
+
 def test_missing_finite_table_key_is_named(tmp_path, z2_file):
     path = tmp_path / "notable.json"
     path.write_text(json.dumps({"names": ["e"]}))
@@ -543,7 +560,7 @@ def test_verbose_prints_groebner_stats_and_keeps_stdout(z2_file):
     ):
         code, out, err = invoke(*argv)
         assert err == ""
-        alggroups._shipped_group.cache_clear()
+        groups._build_shipped.cache_clear()
         loud_code, loud_out, loud_err = invoke("--verbose", *argv)
         assert (loud_code, loud_out) == (code, out)
         first, *lines = loud_err.splitlines()
