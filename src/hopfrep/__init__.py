@@ -30,8 +30,8 @@ _EXPORTS = {
         "tensor_h", "verify_axioms",
     ),
     "repvariety": (
-        "FiniteRepAlgebra", "RepIdealPresentation", "check_observable_invariance",
-        "check_trace_invariance", "finite_rep_algebra", "lie_rep_ideal", "rep_ideal",
+        "RepIdealPresentation", "check_observable_invariance", "check_trace_invariance",
+        "finite_rep_algebra", "lie_rep_ideal", "rep_ideal",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

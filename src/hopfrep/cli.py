@@ -183,21 +183,19 @@ def _cmd_rep_count(args, out: IO[str]) -> int:
 
     presentation = groups.GroupPresentation.from_json(args.group)
     target = groups.make_finite_group(args.finite)
-    algebra = repvariety.finite_rep_algebra(presentation, target)
+    points = repvariety.finite_rep_algebra(presentation, target)
     if args.format == "json":
         _emit_json(
             out,
             {
-                "count": algebra.dimension,
-                "points": [list(p) for p in algebra.points],
-                "point_names": [
-                    [target.names[i] for i in p] for p in algebra.points
-                ],
+                "count": len(points),
+                "points": [list(p) for p in points],
+                "point_names": [[target.names[i] for i in p] for p in points],
             },
         )
     else:
-        _emit(out, str(algebra.dimension))
-        for point in algebra.points:
+        _emit(out, str(len(points)))
+        for point in points:
             assignments = " ".join(
                 f"{g}={target.names[i]}"
                 for g, i in zip(presentation.generators, point)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -364,7 +365,8 @@ class JsonObject:
         return tuple(self[key])
 
 
-_SPEC = re.compile(r"(?P<family>[^:]*:)(?P<k>-?[0-9]+)|(?P<name>[^:]*)")
+# At most 640 digits: `int()` reads that many under any `sys.set_int_max_str_digits` limit.
+_SPEC = re.compile(r"(?P<family>[^:]*:)(?P<k>-?[0-9]{1,640})|(?P<name>[^:]*)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -376,15 +378,16 @@ def _build_shipped(builder: Callable, k: int | None):
 def read_spec(spec, kind: str, error: type[ValueError], shipped: Mapping[str, Callable], read):
     """The object a spec names: ``shipped[name]()``, ``shipped[name:](k)`` or a JSON file.
 
-    ``k`` is written ``-?[0-9]+``, and each (builder, k) is built once per
-    process.  Any other spec is a path given to ``read`` as a `JsonObject`.
+    ``k`` is written ``-?[0-9]+`` with at most 640 digits, and each (builder,
+    k) is built once per process.  Any other spec naming an existing path is
+    given to ``read`` as a `JsonObject`; the empty spec names none.
     """
     text = str(spec)
     match = _SPEC.fullmatch(text)
     key = match and (match["family"] or match["name"])
     if key in shipped:
         return _build_shipped(shipped[key], None if match["k"] is None else int(match["k"]))
-    if Path(text).exists():
+    if os.path.exists(text):
         return read(JsonObject(Path(text), kind, error))
     raise error(f"unknown {kind} spec {text!r}")
 
@@ -436,12 +439,6 @@ class GroupPresentation(Presentation):
         for r in self.relators:
             if r.rank != len(self.generators):
                 raise WordError("relator rank does not match generator count")
-
-    def to_json(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "relators": [format_word(r, self.generators) for r in self.relators],
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -535,21 +532,6 @@ class FiniteGroup:
 
     def inverse(self, a: int) -> int:
         return self.inverses[a]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inverses[a], -k)
-        result = self.identity
-        for _ in range(k):
-            result = self.table[result][a]
-        return result
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.table[x][a]
-            k += 1
-        return k
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:

