@@ -49,6 +49,17 @@ class ParseError(ValueError):
 SIZE_LIMIT = 10**6
 
 
+def read_size(digits: str) -> int:
+    """The decimal ``[-]digits`` as an int, or ``SIZE_LIMIT + 1`` signed if it has more digits.
+
+    Such a size is past the limit whatever its value, so it never reaches
+    ``int()``, which refuses strings of more than 4,300 digits.
+    """
+    magnitude = digits.lstrip("-").lstrip("0") or "0"
+    size = int(magnitude) if len(magnitude) <= len(str(SIZE_LIMIT)) else SIZE_LIMIT + 1
+    return -size if digits.startswith("-") else size
+
+
 # ---------------------------------------------------------------------------
 # Free words
 # ---------------------------------------------------------------------------
@@ -196,7 +207,7 @@ def parse_word(text: str, names: Sequence[str] | int) -> FreeWord:
         index = position(name)
         if index is None:
             raise WordParseError(f"unknown generator {name!r}")
-        exponent = int(match.group("exp")) if match.group("exp") else 1
+        exponent = read_size(match.group("exp")) if match.group("exp") else 1
         if len(letters) + abs(exponent) > SIZE_LIMIT:
             raise WordParseError(f"{token!r} makes the word longer than {SIZE_LIMIT} letters")
         sign = 1 if exponent > 0 else -1
@@ -204,7 +215,7 @@ def parse_word(text: str, names: Sequence[str] | int) -> FreeWord:
     return FreeWord(rank, tuple(letters))
 
 
-def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
+def format_word(word: FreeWord) -> str:
     """Render a word with runs collapsed (``x1^2 x2^-1``); identity prints as ``e``."""
     if not word.letters:
         return "e"
@@ -215,8 +226,7 @@ def format_word(word: FreeWord, names: Sequence[str] | None = None) -> str:
         else:
             runs.append((index, exponent))
     # Each letter is named as it is printed, so the cost follows the word, not the rank.
-    letters = (f"x{i}" if names is None else names[i - 1] for i, _ in runs)
-    return " ".join(x if e == 1 else f"{x}^{e}" for x, (_, e) in zip(letters, runs))
+    return " ".join(f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in runs)
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +246,16 @@ def tokenize(text: str, token: str, error: type[ParseError]) -> list[tuple[str, 
             raise error(f"unexpected character {match['bad']!r}", match.start("bad") + 1)
         tokens.append((match["token"], match.start("token") + 1))
     return tokens
+
+
+def read_number(token: str, column: int, error: type[ParseError]) -> int | Fraction:
+    """An unsigned ``k`` or ``k/m`` as an exact number; a fault raises ``error`` at ``column``."""
+    try:
+        return Fraction(token) if "/" in token else int(token)
+    except ZeroDivisionError:
+        raise error(f"zero denominator in {token!r}", column) from None
+    except ValueError:  # more digits than `int()` reads
+        raise error(f"a number of {len(token)} characters is too long", column) from None
 
 
 def to_postfix(

@@ -42,7 +42,7 @@ from heapq import heapify, heappop, heappush
 from operator import add, getitem, mul
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
-from .groups import ParseError, to_postfix, tokenize
+from .groups import ParseError, read_number, to_postfix, tokenize
 
 Exponents = tuple[int, ...]
 Ring = tuple[str, ...]
@@ -894,10 +894,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
         token, column = operand
         exponents = [0] * len(ring)
         if token[0].isdigit():
-            try:
-                return [Fraction(token) if "/" in token else int(token), exponents]
-            except ZeroDivisionError:
-                raise PolynomialParseError(f"zero denominator in {token!r}", column) from None
+            return [read_number(token, column, PolynomialParseError), exponents]
         if token not in index:
             raise PolynomialParseError(f"unknown variable {token!r}", column)
         exponents[index[token]] = 1
@@ -917,7 +914,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
             if not power.isdigit():
                 raise PolynomialParseError("expected integer exponent after '^'", at)
             stack[-1] = read(base)
-            stack[-1][1][index[base[0]]] = int(power)
+            stack[-1][1][index[base[0]]] = read_number(power, at, PolynomialParseError)
         elif token == "*":
             left, right = read(stack[-2]), read(stack.pop())
             stack[-1] = [left[0] * right[0], [*map(add, left[1], right[1])]]

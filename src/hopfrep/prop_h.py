@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .groups import FiniteGroup, FreeWord, ParseError, evaluate_word, format_word
-from .groups import SIZE_LIMIT, _substitute, _word, to_postfix, tokenize
+from .groups import SIZE_LIMIT, _substitute, _word, read_size, to_postfix, tokenize
 
 
 class ArityError(ValueError):
@@ -262,9 +262,10 @@ def parse_term(text: str) -> GeneratorTerm:
             right = stack.pop()
             stack[-1] = Compose(stack[-1], right) if token == "." else Tensor(stack[-1], right)
         elif token.startswith("id:"):
-            if int(token[3:]) > SIZE_LIMIT:
+            width = read_size(token[3:])
+            if width > SIZE_LIMIT:
                 raise TermSyntaxError(f"{token!r} is wider than {SIZE_LIMIT}", column)
-            stack.append(Id(int(token[3:])))
+            stack.append(Id(width))
         elif token in _TERM_LEAVES:
             stack.append(Gen(_TERM_LEAVES[token]))
         else:

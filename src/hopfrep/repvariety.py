@@ -87,7 +87,7 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
             generators.append(g)
             provenance.append(f"copy_ideal:{copy}")
     for index, relator in enumerate(group.relators):
-        matrix = matrix_word(relator, target, ring=ring)
+        matrix = matrix_word(relator, target)
         size = len(matrix)
         for i in range(size):
             for j in range(size):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hopfrep.alggroups import (
     GroupDataError,
@@ -323,8 +326,8 @@ def test_matrix_word_cancellation_modulo_ideal(sl2):
     # x1 * x1^-1 multiplies out to det * identity, which reduces to identity
     ring = block_ring(sl2, [1])
     gb = groebner(Ideal(ring, tuple(block_ideal_generators(sl2, 1, ring))))
-    x = matrix_word(FreeWord(1, ((1, 1),)), sl2, ring=ring)
-    xinv = matrix_word(FreeWord(1, ((1, -1),)), sl2, ring=ring)
+    x = matrix_word(FreeWord(1, ((1, 1),)), sl2)
+    xinv = matrix_word(FreeWord(1, ((1, -1),)), sl2)
     product = _matrix_mul(x, xinv, ring)
     for i in range(2):
         for j in range(2):
@@ -462,7 +465,7 @@ def test_sl2_brackets(sl2_lie):
 
 
 def test_lie_validation_errors():
-    with pytest.raises(LieDataError):
+    with pytest.raises(LieDataError, match=r"^antisymmetry fails at c\[0\]\[0\]\[1\]$"):
         lie_from_constants([[[0, 1], [0, 0]], [[0, 0], [0, 0]]])  # not antisymmetric
     # antisymmetric but failing Jacobi: [e1,e2]=e2, [e2,e3]=e1, [e3,e1]=0
     # gives [[e1,e2],e3] + [[e2,e3],e1] + [[e3,e1],e2] = [e2,e3] = e1
@@ -471,8 +474,84 @@ def test_lie_validation_errors():
         [[0, -1, 0], [0, 0, 0], [1, 0, 0]],
         [[0, 0, 0], [-1, 0, 0], [0, 0, 0]],
     ]
-    with pytest.raises(LieDataError):
+    with pytest.raises(LieDataError, match=r"^Jacobi identity fails at \(0,1,2\) component 0$"):
         lie_from_constants(constants)
+
+
+def _first_lie_failure(c) -> str | None:
+    """Reference oracle: antisymmetry, then the Jacobi identity, entry by entry in index order."""
+    d = len(c)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                if c[i][j][k] != -c[j][i][k]:
+                    return f"antisymmetry fails at c[{i}][{j}][{k}]"
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    total = Fraction(0)
+                    for m in range(d):
+                        total += (
+                            c[i][j][m] * c[m][k][l]
+                            + c[j][k][m] * c[m][i][l]
+                            + c[k][i][m] * c[m][j][l]
+                        )
+                    if total != 0:
+                        return f"Jacobi identity fails at ({i},{j},{k}) component {l}"
+    return None
+
+
+def _lie_verdict(constants) -> str | None:
+    try:
+        lie_from_constants(constants)
+    except LieDataError as err:
+        return str(err)
+    return None
+
+
+@st.composite
+def _lie_tables(draw):
+    """A d x d x d table, d <= 5, mostly zeros; half of them made antisymmetric."""
+    d = draw(st.integers(0, 5))
+    entry = st.sampled_from((0, 0, 0, 0, 0, 0, 1, -1, 2, Fraction(1, 2)))
+    c = [[[draw(entry) for _ in range(d)] for _ in range(d)] for _ in range(d)]
+    if draw(st.booleans()):
+        for i in range(d):
+            c[i][i] = [0] * d
+            for j in range(i):
+                c[i][j] = [-x for x in c[j][i]]
+    return c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_lie_tables())
+def test_lie_validation_agrees_with_the_index_loops(constants):
+    assert _lie_verdict(constants) == _first_lie_failure(constants)
+
+
+def _gl(n: int) -> list:
+    """gl(n) on the matrix units E_ij (index n*i + j): [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    c = [[[0] * n * n for _ in range(n * n)] for _ in range(n * n)]
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        c[n * i + j][n * k + l][n * i + l] += j == k
+        c[n * i + j][n * k + l][n * k + j] -= l == i
+    return c
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_gl_tables_are_lie_algebras(n):
+    assert lie_from_constants(_gl(n)).dimension == n * n
+
+
+def test_a_changed_gl3_table_is_refused_like_the_index_loops():
+    once = _gl(3)
+    once[4][2][5] += 1
+    pair = _gl(3)
+    pair[1][3][0], pair[3][1][0] = 2, -2  # still antisymmetric: [E_01, E_10] = 2 E_00 - E_11
+    for constants in (once, pair):
+        expected = _first_lie_failure(constants)
+        assert expected is not None and _lie_verdict(constants) == expected
 
 
 def test_lie_basis_must_name_each_element_once():

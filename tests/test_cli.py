@@ -178,15 +178,37 @@ def test_torus_rank_past_the_cap_exits_two():
 def test_sizes_past_the_limit_exit_two(tmp_path):
     path = tmp_path / "big.json"
     path.write_text(json.dumps({"generators": ["a"], "relators": ["a^100000000000"]}))
+    long = "9" * 5000  # more digits than int() reads under its default limit
     for argv, message in (
         (("reduce", "--n", "1", "--word", "x1^100000000000"), "'x1^100000000000' makes the word"),
         (("rep-count", "--group", str(path), "--finite", "cyclic:2"), "'a^100000000000' makes the word"),
         (("reduce", "--n", "100000000000", "--word", "x1"), "--n 100000000000 is outside 0..1000000"),
         (("normalize", "--term", "mu . id:10000000"), "column 6: 'id:10000000' is wider than 1000000"),
+        (("reduce", "--n", "2", "--word", f"x1^{long} x2"), f"'x1^{long}' makes the word longer"),
+        (("normalize", "--term", f"id:{long}"), f"column 1: 'id:{long}' is wider than 1000000"),
     ):
         code, out, err = invoke(*argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("reader", ["Lie relator", "target ideal"])
+def test_a_5000_digit_number_is_named_at_its_column(tmp_path, z2_file, reader):
+    long, path = "9" * 5000, tmp_path / "long.json"
+    if reader == "Lie relator":
+        path.write_text(json.dumps({"generators": ["a"], "relators": [f"{long}*a"]}))
+        argv, column = ("lie-rep-ideal", "--source", str(path), "--target", "sl2"), 1
+    else:
+        path.write_text(json.dumps(dict(TORUS_JSON, ideal=["z*w - 1", f"z^{long}"])))
+        argv, column = ("rep-ideal", "--group", z2_file, "--target", str(path)), 3
+    code, out, err = invoke(*argv)
+    try:
+        int(long)
+    except ValueError:  # the interpreter limits int() to fewer digits
+        assert (code, out) == (2, "")
+        assert err == f"error: column {column}: a number of 5000 characters is too long\n"
+    else:
+        assert code == 0 or (code, out) == (2, "") and err.count("\n") == 1
 
 
 def test_term_wider_than_the_limit_exits_two(monkeypatch):
