@@ -79,10 +79,6 @@ class PresentedCommHopf:
     def __post_init__(self) -> None:
         _validate_hopf(self)
 
-    @property
-    def doubled_ring(self) -> Ring:
-        return _doubled(self.variables)
-
     def counit_point(self) -> dict[str, Fraction]:
         return dict(zip(self.variables, self.counit))
 
@@ -241,12 +237,14 @@ def _determinant(matrix: Sequence[Sequence[Polynomial]], ring: Ring) -> Polynomi
 def _validate_hopf(group: PresentedCommHopf) -> None:
     """Check the structural data really is a Hopf algebra presentation.
 
-    Verifies that the counit is a point of the variety, that antipode and
-    comultiplication map the ideal into the (extended) ideal, and the
-    antipode axiom: Delta(v) with v' -> S(v), v'' -> v is eps(v) modulo
-    the ideal, for every coordinate v.  A matrix, when present, must be a
-    representation: M(eps) = I, and M(Delta) = M'M'' modulo the doubled
-    ideal.
+    Delta, S and eps are substitutions, hence algebra maps; what is left is
+    that they are well defined and that the group law holds on points.  The
+    points x, y, z are three blocks of fresh variables, and x.y is folded
+    through Delta as in `pullback`.  The counit is a point, so the ideal is
+    proper and one grevlex basis of its three block copies decides, in
+    order: S and Delta preserve the ideal; a matrix is a representation,
+    M(e) = I and M(x.y) = M(x) M(y); S(x).x = x.S(x) = e; e.x = x.e = x;
+    and (x.y).z = x.(y.z).
     """
     ring = group.variables
     repeated = next((v for i, v in enumerate(ring) if v in ring[:i]), None)
@@ -260,46 +258,45 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
         if g.evaluate(point) != 0:
             raise GroupDataError(f"{group.name}: counit is not a zero of generator {g}")
 
-    gb = groebner(group.defining_ideal, GREVLEX)
-    antipode_map = dict(zip(ring, group.antipode))
-    for g in group.defining_ideal.generators:
-        if not ideal_member(g.substitute(antipode_map), gb):
-            raise GroupDataError(f"{group.name}: antipode does not preserve the ideal")
+    ideal = group.defining_ideal.generators
+    blocks = tuple(f"{c}{i}" for c in "xyz" for i in range(len(ring)))
+    x, y, z = ([Polynomial.variable(blocks, f"{c}{i}") for i in range(len(ring))] for c in "xyz")
+    e = [Polynomial.constant(blocks, value) for value in group.counit]
 
-    doubled = group.doubled_ring
-    renamings = [{v: v + mark for v in ring} for mark in ("'", "''")]
-    doubled_generators = tuple(
-        g.rename(doubled, names) for g in group.defining_ideal.generators for names in renamings
-    )
-    doubled_gb = groebner(Ideal(doubled, doubled_generators), GREVLEX)
-    comult_map = dict(zip(ring, group.comultiplication))
-    for g in group.defining_ideal.generators:
-        if not ideal_member(g.substitute(comult_map), doubled_gb):
-            raise GroupDataError(f"{group.name}: comultiplication does not preserve the ideal")
+    def at(p: Polynomial, values: Sequence[Polynomial]) -> Polynomial:
+        return p.substitute(dict(zip(ring, values)))
 
+    def product(a: Sequence[Polynomial], b: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+        return fold_substitute(group.comultiplication, a, [b], [0])
+
+    gb = groebner(Ideal(blocks, tuple(at(g, p) for p in (x, y, z) for g in ideal)), GREVLEX)
+
+    def require(sides: Sequence[Polynomial], values: Sequence[Polynomial], message: str) -> None:
+        for v, side, value in zip(ring, sides, values):
+            if not ideal_member(side - value, gb):
+                raise GroupDataError(f"{group.name}: {message} at {v}")
+
+    inverse = [at(s, x) for s in group.antipode]
+    xy = product(x, y)
+    for image, name in ((inverse, "antipode"), (xy, "comultiplication")):
+        if not all(ideal_member(at(g, image), gb) for g in ideal):
+            raise GroupDataError(f"{group.name}: {name} does not preserve the ideal")
     if group.matrix is not None:
-        left, right = (
-            [[entry.rename(doubled, names) for entry in row] for row in group.matrix]
-            for names in renamings
-        )
+        left, right = ([[at(entry, p) for entry in row] for row in group.matrix] for p in (x, y))
         for i, row in enumerate(group.matrix):
             for j, entry in enumerate(row):
                 if entry.evaluate(point) != (1 if i == j else 0):
                     raise GroupDataError(f"{group.name}: matrix is not the identity at the counit")
-                product = sum(
-                    (left[i][k] * right[k][j] for k in range(len(row))), Polynomial.zero(doubled)
-                )
-                if not ideal_member(entry.substitute(comult_map) - product, doubled_gb):
+                terms = (left[i][k] * right[k][j] for k in range(len(row)))
+                if not ideal_member(at(entry, xy) - sum(terms, Polynomial.zero(blocks)), gb):
                     raise GroupDataError(
                         f"{group.name}: matrix is not multiplicative at entry {i + 1},{j + 1}"
                     )
-
-    inverse_then_point = dict(
-        zip(doubled, group.antipode + tuple(Polynomial.variable(ring, v) for v in ring))
-    )
-    for v, delta, value in zip(ring, group.comultiplication, group.counit):
-        if not ideal_member(delta.substitute(inverse_then_point) - value, gb):
-            raise GroupDataError(f"{group.name}: antipode axiom fails at {v}")
+    require(product(inverse, x), e, "antipode axiom fails")
+    require(product(x, inverse), e, "antipode axiom fails")
+    require(product(e, x), x, "counit axiom fails")
+    require(product(x, e), x, "counit axiom fails")
+    require(product(xy, z), product(x, product(y, z)), "comultiplication is not coassociative")
 
 
 def _matrix_group(kind: str, size: int) -> PresentedCommHopf:

@@ -328,8 +328,9 @@ class JsonObject:
 
     Every fault is raised as the caller's ``error`` class with a one-line
     message naming the file or the key: a file that cannot be read, text
-    that is not JSON or nests past the recursion limit, a top level that
-    is not an object, a missing key, or a field of the wrong type.
+    that is not JSON, nests past the recursion limit or holds a number too
+    long for `int()`, a top level that is not an object, a missing key, or
+    a field of the wrong type.
     """
 
     def __init__(self, source, kind: str, error: type[ValueError]) -> None:
@@ -347,6 +348,8 @@ class JsonObject:
             self.data = json.loads(text)
         except json.JSONDecodeError as err:
             raise error(f"{source}: line {err.lineno} column {err.colno}: {err.msg}")
+        except ValueError:  # a number literal with more digits than `int()` reads
+            raise error(f"{source}: a number is too long")
         except RecursionError:
             raise error(f"{source}: JSON nests too deeply")
         if not isinstance(self.data, dict):

@@ -77,7 +77,8 @@ def test_sl2_presentation(sl2):
 def test_torus_presentation(torus1):
     (gen,) = torus1.defining_ideal.generators
     assert gen == parse_polynomial("z*t - 1", torus1.variables)
-    assert torus1.comultiplication[0] == parse_polynomial("z'*z''", torus1.doubled_ring)
+    doubled = ("z'", "t'", "z''", "t''")
+    assert torus1.comultiplication[0] == parse_polynomial("z'*z''", doubled)
     assert torus1.antipode[0] == Polynomial.variable(torus1.variables, "t")
 
 
@@ -92,7 +93,6 @@ def test_gl2_counit_is_identity_point(gl2):
 def test_counit_axiom_legs(sl2, gl2, torus1, additive):
     # collapsing either leg of the coproduct with the counit returns the variable
     for group in (sl2, gl2, torus1, additive):
-        doubled = group.doubled_ring
         point = group.counit_point()
         base = group.variables
         collapse_left = {}
@@ -278,6 +278,15 @@ def _one_variable_group(ideal, delta, antipode, counit):
         (["x^2 - 1"], "x'*x''", "x + 1", 1, "antipode does not preserve the ideal"),
         (["x^2 - 1"], "x' + x''", "x", 1, "comultiplication does not preserve the ideal"),
         ([], "x' + x''", "x", 0, "antipode axiom fails at x"),
+        # S(x).x = e holds, x.S(x) = -3x does not
+        ([], "x' + 2*x''", "-2*x", 0, "antipode axiom fails at x"),
+        # both antipode identities hold, e.x = 1 + x does not
+        ([], "x' + x''", "1 - x", 1, "counit axiom fails at x"),
+        # a loop on the line: identity 0 and inverse -x, but (1.1).2 = 54 and 1.(1.2) = 100
+        (
+            [], "x' + x'' + x'^2*x'' + x'*x''^2", "-x", 0,
+            "comultiplication is not coassociative at x",
+        ),
     ],
 )
 def test_presented_group_is_validated_on_construction(ideal, delta, antipode, counit, message):

@@ -133,6 +133,21 @@ def test_cotangent():
         assert out == f"dimension: {dim}\n"
 
 
+@pytest.mark.parametrize(
+    "delta, antipode, counit, message",
+    [
+        ("u' + 2*u''", "-2*u", 0, "antipode axiom fails at u"),  # x.S(x) = -3x
+        ("u' + u''", "1 - u", 1, "counit axiom fails at u"),  # e.x = 1 + x
+    ],
+)
+def test_a_target_that_breaks_the_group_law_exits_two(tmp_path, delta, antipode, counit, message):
+    path = tmp_path / "line.json"
+    target = {"variables": ["u"], "counit": {"u": counit}, "delta": {"u": delta}}
+    path.write_text(json.dumps(dict(target, antipode={"u": antipode})))
+    code, out, err = invoke("cotangent", "--target", str(path))
+    assert (code, out, err) == (2, "", f"error: custom: {message}\n")
+
+
 def test_invariance(f2_file):
     code, out, _ = invoke(
         "invariance", "--word", "a b", "--group", f2_file, "--target", "sl:2"
@@ -374,6 +389,29 @@ def test_deeply_nested_json_exits_two_with_one_line(tmp_path):
     assert err == f"error: {path}: JSON nests too deeply\n"
 
 
+@pytest.mark.parametrize("reader", ["Lie constants", "group counit", "unused presentation key"])
+def test_a_5000_digit_json_number_names_the_file(tmp_path, z2_file, abelian_lie_file, reader):
+    long, path = "9" * 5000, tmp_path / "long.json"
+    if reader == "Lie constants":
+        text = '{"constants": [[[%s]]]}' % long
+        argv = ("lie-rep-ideal", "--source", abelian_lie_file, "--target", str(path))
+    elif reader == "group counit":
+        text = json.dumps(dict(TORUS_JSON, counit={"z": 0, "w": "1"}))
+        text = text.replace('"z": 0', f'"z": {long}')
+        argv = ("cotangent", "--target", str(path))
+    else:
+        text = '{"generators": ["a"], "relators": ["a^2"], "note": %s}' % long
+        argv = ("rep-count", "--group", str(path), "--finite", "cyclic:2")
+    path.write_text(text)
+    code, out, err = invoke(*argv)
+    try:
+        int(long)
+    except ValueError:  # the interpreter limits int() to fewer digits
+        assert (code, out, err) == (2, "", f"error: {path}: a number is too long\n")
+    else:
+        assert code == 0 or (code, out) == (2, "") and err.count("\n") == 1
+
+
 def test_missing_group_json_entry_is_named(tmp_path, z2_file):
     path = tmp_path / "units.json"
     path.write_text(
@@ -595,8 +633,8 @@ def test_verbose_prints_groebner_stats_and_keeps_stdout(z2_file):
         assert (loud_code, loud_out) == (code, out)
         first, *lines = loud_err.splitlines()
         assert first == f"hopfrep: running {argv[0]}"
-        # Two bases validate the target, and one answers the command.
-        assert len(lines) == 3, loud_err
+        # One basis validates the target, and one answers the command.
+        assert len(lines) == 2, loud_err
         for line in lines:
             assert line.startswith("groebner grevlex, ")
             assert [pair.split("=")[0] for pair in line.split(": ")[1].split()] == keys
