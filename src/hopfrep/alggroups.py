@@ -29,6 +29,7 @@ from .polyalg import (
     Ideal,
     Polynomial,
     Ring,
+    embed,
     fold_substitute,
     groebner,
     ideal_member,
@@ -169,6 +170,9 @@ def conjugation_substitution(p: Polynomial, group: PresentedCommHopf) -> Polynom
     if p.ring != block_ring(group, copies):
         raise GroupDataError("polynomial does not live in the copy block ring")
     extended = block_ring(group, [0] + copies)
+    if not copies:
+        # A constant: there is nothing to conjugate, and no image to give a ring.
+        return embed(p, extended)
     images: dict[str, Polynomial] = {}
     for c in copies:
         word = FreeWord(len(copies) + 1, ((1, 1), (c + 1, 1), (1, -1)))

@@ -2,10 +2,12 @@
 
 Subcommands map one-to-one onto the library: ``axioms``, ``normalize``,
 ``reduce``, ``rep-ideal``, ``lie-rep-ideal``, ``rep-count``, ``cotangent``
-and ``invariance``.  Output is deterministic (no timestamps, fixed
-ordering); ``--format json`` is the stable machine contract, text is for
-humans.  Exit codes: 0 success, 1 verification failure, 2 input error;
-a reader that closes stdout early ends the command quietly with 141.
+and ``invariance``.  Each command builds one payload, and ``--format``
+prints it as JSON or as its text lines, which are built only when printed.
+Output is deterministic (no timestamps, fixed ordering); ``--format json``
+is the stable machine contract, text is for humans.  Exit codes: 0
+success, 1 verification failure, 2 input error; a reader that closes
+stdout early ends the command quietly with 141.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import functools
 import json
 import os
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 # Each command imports the rest of the library itself, so a launch loads
 # only what its command runs (`axioms` never compiles the polynomial layer).
@@ -77,80 +79,58 @@ def _emit(stream: IO[str], text: str) -> None:
         stream.write("\n")
 
 
-def _emit_json(stream: IO[str], payload) -> None:
-    _emit(stream, json.dumps(payload, indent=2))
+Result = tuple[object, Iterable[str], int]  # a command's payload, text lines and exit code
 
 
-def _emit_presentation(stream: IO[str], payload: dict) -> None:
-    """The text form of a `RepIdealPresentation.to_json` payload, from its strings."""
-    _emit(stream, "variables: " + " ".join(payload["variables"]))
+def _presentation_lines(payload: dict) -> Iterator[str]:
+    """The text lines of a `RepIdealPresentation.to_json` payload, from its strings."""
+    yield "variables: " + " ".join(payload["variables"])
     for i, (g, provenance) in enumerate(zip(payload["ideal"], payload["provenance"])):
-        _emit(stream, f"g{i} [{provenance['source']}]: {g}")
+        yield f"g{i} [{provenance['source']}]: {g}"
     if "groebner_basis" in payload:
-        _emit(stream, f"groebner ({payload['groebner_order']}):")
+        yield f"groebner ({payload['groebner_order']}):"
         for g in payload["groebner_basis"]:
-            _emit(stream, f"  {g}")
+            yield f"  {g}"
 
 
-def _cmd_axioms(args, out: IO[str]) -> int:
+def _cmd_axioms(args) -> Result:
     checks = prop_h.verify_axioms()
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "axioms": [
-                    {"number": c.number, "name": c.name, "holds": c.holds}
-                    for c in checks
-                ],
-                "all_hold": all(c.holds for c in checks),
-            },
-        )
-    else:
-        for c in checks:
-            _emit(out, f"{'PASS' if c.holds else 'FAIL'} {c.number:>2} {c.name}")
-    return 0 if all(c.holds for c in checks) else 1
+    payload = {
+        "axioms": [{"number": c.number, "name": c.name, "holds": c.holds} for c in checks],
+        "all_hold": all(c.holds for c in checks),
+    }
+    lines = (f"{'PASS' if c.holds else 'FAIL'} {c.number:>2} {c.name}" for c in checks)
+    return payload, lines, 0 if payload["all_hold"] else 1
 
 
-def _cmd_normalize(args, out: IO[str]) -> int:
+def _cmd_normalize(args) -> Result:
     term = prop_h.parse_term(args.term)
     morphism = prop_h.eval_term(term)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "dom": morphism.dom,
-                "cod": morphism.cod,
-                "words": [groups.format_word(w) for w in morphism.words],
-            },
-        )
-    else:
-        _emit(out, prop_h.format_hmorphism(morphism))
-    return 0
+    payload = {
+        "dom": morphism.dom,
+        "cod": morphism.cod,
+        "words": [groups.format_word(w) for w in morphism.words],
+    }
+    return payload, map(prop_h.format_hmorphism, [morphism]), 0
 
 
-def _cmd_reduce(args, out: IO[str]) -> int:
+def _cmd_reduce(args) -> Result:
     if not 0 <= args.n <= groups.SIZE_LIMIT:
         raise CliError(f"--n {args.n} is outside 0..{groups.SIZE_LIMIT}")
     word = groups.parse_word(args.word, args.n)
     morphism = prop_h.HMorphism(args.n, 1, (word,))
     reduced = prop_h.multilinear_reduce(prop_h.LinHom.of(morphism))
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "n": args.n,
-                "terms": [
-                    {"coefficient": str(c), "word": groups.format_word(h.words[0])}
-                    for h, c in reduced.terms
-                ],
-            },
-        )
-    else:
-        _emit(out, prop_h.format_linhom(reduced))
-    return 0
+    payload = {
+        "n": args.n,
+        "terms": [
+            {"coefficient": str(c), "word": groups.format_word(h.words[0])}
+            for h, c in reduced.terms
+        ],
+    }
+    return payload, map(prop_h.format_linhom, [reduced]), 0
 
 
-def _cmd_rep_ideal(args, out: IO[str]) -> int:
+def _cmd_rep_ideal(args) -> Result:
     from . import alggroups, polyalg, repvariety
 
     order = polyalg.GREVLEX if args.order is None else args.order
@@ -165,77 +145,61 @@ def _cmd_rep_ideal(args, out: IO[str]) -> int:
         payload["groebner_order"] = order
         basis = polyalg.groebner(presentation.ideal, order).basis
         payload["groebner_basis"] = [str(g) for g in basis]
-    (_emit_json if args.format == "json" else _emit_presentation)(out, payload)
-    return 0
+    return payload, _presentation_lines(payload), 0
 
 
-def _cmd_lie_rep_ideal(args, out: IO[str]) -> int:
+def _cmd_lie_rep_ideal(args) -> Result:
     from . import alggroups, repvariety
 
     source = alggroups.LiePresentation.from_json(args.source)
     payload = repvariety.lie_rep_ideal(source, alggroups.make_lie(args.target)).to_json()
-    (_emit_json if args.format == "json" else _emit_presentation)(out, payload)
-    return 0
+    return payload, _presentation_lines(payload), 0
 
 
-def _cmd_rep_count(args, out: IO[str]) -> int:
+def _point_lines(payload: dict, generators: Sequence[str]) -> Iterator[str]:
+    """The count, then one line of assignments per point."""
+    yield str(payload["count"])
+    for names in payload["point_names"]:
+        yield " ".join(f"{g}={name}" for g, name in zip(generators, names))
+
+
+def _cmd_rep_count(args) -> Result:
     from . import repvariety
 
     presentation = groups.GroupPresentation.from_json(args.group)
     target = groups.make_finite_group(args.finite)
     points = repvariety.finite_rep_algebra(presentation, target)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "count": len(points),
-                "points": [list(p) for p in points],
-                "point_names": [[target.names[i] for i in p] for p in points],
-            },
-        )
-    else:
-        _emit(out, str(len(points)))
-        for point in points:
-            assignments = " ".join(
-                f"{g}={target.names[i]}"
-                for g, i in zip(presentation.generators, point)
-            )
-            _emit(out, assignments)
-    return 0
+    payload = {
+        "count": len(points),
+        "points": [list(p) for p in points],
+        "point_names": [[target.names[i] for i in p] for p in points],
+    }
+    return payload, _point_lines(payload, presentation.generators), 0
 
 
-def _cmd_cotangent(args, out: IO[str]) -> int:
+def _cmd_cotangent(args) -> Result:
     from . import alggroups
 
     group = alggroups.make_group(args.target)
     data = alggroups.cotangent_at_identity(group)
-    if args.format == "json":
-        _emit_json(
-            out,
-            {
-                "target": group.name,
-                "dimension": data.dimension,
-                "variables": list(data.variables),
-                "kernel_basis": [[str(x) for x in v] for v in data.kernel_basis],
-            },
-        )
-    else:
-        _emit(out, f"dimension: {data.dimension}")
-    return 0
+    payload = {
+        "target": group.name,
+        "dimension": data.dimension,
+        "variables": list(data.variables),
+        "kernel_basis": [[str(x) for x in v] for v in data.kernel_basis],
+    }
+    return payload, map("dimension: {}".format, [data.dimension]), 0
 
 
-def _cmd_invariance(args, out: IO[str]) -> int:
+def _cmd_invariance(args) -> Result:
     from . import alggroups, repvariety
 
     presentation = groups.GroupPresentation.from_json(args.group)
     target = alggroups.make_group(args.target)
     word = groups.parse_word(args.word, presentation.generators)
     invariant = repvariety.check_trace_invariance(word, presentation, target)
-    if args.format == "json":
-        _emit_json(out, {"word": args.word, "invariant": invariant})
-    else:
-        _emit(out, f"invariant: {'true' if invariant else 'false'}")
-    return 0 if invariant else 1
+    payload = {"word": args.word, "invariant": invariant}
+    return payload, ["invariant: true" if invariant else "invariant: false"], 0 if invariant else 1
 
 
 _COMMANDS = {
@@ -263,7 +227,13 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
 
             _emit(err, f"hopfrep: running {args.command}")
             polyalg.stats_stream = err
-        return _COMMANDS[args.command](args, out)
+        payload, lines, code = _COMMANDS[args.command](args)
+        if args.format == "json":
+            _emit(out, json.dumps(payload, indent=2))
+        else:
+            for line in lines:
+                _emit(out, line)
+        return code
     except (KeyError, ValueError) as exc:
         # Every error class of the library, and CliError, is a ValueError.
         _emit(err, f"error: {exc}")

@@ -416,6 +416,14 @@ def test_conjugation_fixes_constants(sl2):
     )
 
 
+@pytest.mark.parametrize("spec", ["sl:2", "gl:2", "torus:1"])
+def test_conjugation_on_no_copies_lands_in_the_conjugator_ring(spec):
+    # No copy gives no image to take a ring from; the constant is embedded.
+    group = make_group(spec)
+    two = Polynomial.constant(block_ring(group, []), 2)
+    assert conjugation_substitution(two, group) == Polynomial.constant(block_ring(group, [0]), 2)
+
+
 # -- cotangent spaces -------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from hopfrep import prop_h
 from hopfrep.cli import run
 
 
@@ -154,6 +156,15 @@ def test_invariance(f2_file):
     )
     assert code == 0
     assert out == "invariant: true\n"
+
+
+@pytest.mark.parametrize("target", ["sl:2", "gl:2", "torus:1"])
+def test_invariance_on_the_trivial_group(tmp_path, target):
+    # The trace of the empty word is a constant, so it is invariant.
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({"generators": [], "relators": []}))
+    code, out, err = invoke("invariance", "--word", "e", "--group", str(path), "--target", target)
+    assert (code, out, err) == (0, "invariant: true\n", "")
 
 
 def test_input_errors_exit_two(tmp_path, z2_file):
@@ -807,3 +818,110 @@ def test_bad_lie_constant_names_file_and_key(tmp_path, abelian_lie_file, literal
     code, out, err = invoke("lie-rep-ideal", "--source", abelian_lie_file, "--target", str(path))
     assert (code, out) == (2, "")
     assert err == f"""error: Lie JSON {path}: "constants" holds {literal!r}, not a rational\n"""
+
+
+# Every command, with the zero-generator group for the edge lines a line
+# printer could change ("1" then an empty line; "variables: " with its space).
+PINNED_ARGV = {
+    "axioms": ["axioms"],
+    "normalize": ["normalize", "--term", "(mu * S) . (id:1 * tau) . (delta * id:1)"],
+    "reduce": ["reduce", "--n", "3", "--word", "x1 x2 x3 x1^-1 x2^-1"],
+    "reduce-bad-n": ["reduce", "--n", "-1", "--word", "e"],
+    "rep-ideal": ["rep-ideal", "--group", "{z2}", "--target", "gl:2", "--groebner"],
+    "rep-ideal-trivial": ["rep-ideal", "--group", "{trivial}", "--target", "sl:2"],
+    "lie-rep-ideal": ["lie-rep-ideal", "--source", "{ab2}", "--target", "sl2"],
+    "rep-count": ["rep-count", "--group", "{z2}", "--finite", "sym:3"],
+    "rep-count-trivial": ["rep-count", "--group", "{trivial}", "--finite", "sym:3"],
+    "cotangent": ["cotangent", "--target", "gl:2"],
+    "invariance": ["invariance", "--word", "a b a^-1", "--group", "{f2}", "--target", "sl:2"],
+}
+
+# (format, case) -> (exit code, stdout or "sha256:" and its digest), recorded
+# at commit d133644, where each command chose its format itself.
+PINNED_OUTPUT = {
+    ("text", "axioms"): (
+        0,
+        "sha256:67858b48cf001f05a19be165f45ff4c9a7591866505896e0ec68c152b8fe41c7",
+    ),
+    ("json", "axioms"): (
+        0,
+        "sha256:2f8c67a38396fcd98eecba7c2758db553f03390a7b45ef83cfdc672b0e1f3276",
+    ),
+    ("text", "normalize"): (0, "[2]->[2]: (x1 x2; x1^-1)\n"),
+    ("json", "normalize"): (
+        0,
+        '{\n  "dom": 2,\n  "cod": 2,\n  "words": [\n    "x1 x2",\n    "x1^-1"\n  ]\n}\n',
+    ),
+    ("text", "reduce"): (0, "(x1 x2 x3) - (x1 x3 x2) - (x2 x3 x1) + (x3 x1 x2)\n"),
+    ("json", "reduce"): (
+        0,
+        "sha256:6c3f312f66c40b2610b6be7dfb6e6b0ddef6b7f9acb63d0fa32f8e1ad9d657c6",
+    ),
+    ("text", "reduce-bad-n"): (2, ""),
+    ("json", "reduce-bad-n"): (2, ""),
+    ("text", "rep-ideal"): (
+        0,
+        "sha256:085b0a804440d2461d7e4de2469a8ce58d25bf1a92e052bb1d5118b7947c9ef7",
+    ),
+    ("json", "rep-ideal"): (
+        0,
+        "sha256:b633ddea3a42eeb9398ff6f4bb13cea87835443bd4a94d0e1565887659fdb635",
+    ),
+    ("text", "rep-ideal-trivial"): (0, "variables: \n"),
+    ("json", "rep-ideal-trivial"): (
+        0,
+        '{\n  "variables": [],\n  "ideal": [],\n  "provenance": []\n}\n',
+    ),
+    ("text", "lie-rep-ideal"): (
+        0,
+        "sha256:f1ba06df2620c9448b52dca93f242d2f9d96f11b51822488e7cd74225b0c6f7c",
+    ),
+    ("json", "lie-rep-ideal"): (
+        0,
+        "sha256:ddc8dd025877e1f9fe16dd929a5aa475d37512baefaed16b956a540ea251bcfc",
+    ),
+    ("text", "rep-count"): (0, "4\na=e\na=(1 2)\na=(0 1)\na=(0 2)\n"),
+    ("json", "rep-count"): (
+        0,
+        "sha256:5acfe6064765bffab1b5c398cab5e9c32c69a60c775bb295cbc1e186ff33a641",
+    ),
+    ("text", "rep-count-trivial"): (0, "1\n\n"),
+    ("json", "rep-count-trivial"): (
+        0,
+        '{\n  "count": 1,\n  "points": [\n    []\n  ],\n  "point_names": [\n    []\n  ]\n}\n',
+    ),
+    ("text", "cotangent"): (0, "dimension: 4\n"),
+    ("json", "cotangent"): (
+        0,
+        "sha256:de8e2ca14fb9246c75a67fb968d4436db3c2bd69221055f078c94fcdc007e307",
+    ),
+    ("text", "invariance"): (0, "invariant: true\n"),
+    ("json", "invariance"): (0, '{\n  "word": "a b a^-1",\n  "invariant": true\n}\n'),
+}
+
+
+@pytest.mark.parametrize("fmt, case", sorted(PINNED_OUTPUT), ids="-".join)
+def test_every_command_prints_its_pinned_bytes(
+    tmp_path, z2_file, f2_file, abelian_lie_file, fmt, case
+):
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(json.dumps({"generators": [], "relators": []}))
+    files = {"z2": z2_file, "f2": f2_file, "ab2": abelian_lie_file, "trivial": str(trivial)}
+    argv = [a.format(**files) for a in PINNED_ARGV[case]]
+    code, out, _ = invoke("--format", fmt, *argv)
+    expected_code, expected = PINNED_OUTPUT[fmt, case]
+    if expected.startswith("sha256:"):
+        out = "sha256:" + hashlib.sha256(out.encode()).hexdigest()
+    assert (code, out) == (expected_code, expected)
+
+
+def test_json_builds_no_text(monkeypatch):
+    def refuse(_):
+        raise AssertionError("a text line was built under --format json")
+
+    monkeypatch.setattr(prop_h, "format_linhom", refuse)
+    monkeypatch.setattr(prop_h, "format_hmorphism", refuse)
+    assert invoke("--format", "json", "reduce", "--n", "2", "--word", "x1 x2")[0] == 0
+    assert invoke("--format", "json", "normalize", "--term", "delta")[0] == 0
+    with pytest.raises(AssertionError, match="text line"):
+        invoke("reduce", "--n", "2", "--word", "x1 x2")
