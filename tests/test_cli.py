@@ -833,11 +833,23 @@ PINNED_ARGV = {
     "rep-count": ["rep-count", "--group", "{z2}", "--finite", "sym:3"],
     "rep-count-trivial": ["rep-count", "--group", "{trivial}", "--finite", "sym:3"],
     "cotangent": ["cotangent", "--target", "gl:2"],
+    **{
+        f"cotangent-{target.replace(':', '')}": ["cotangent", "--target", target]
+        for target in ("sl:1", "sl:3", "gl:3", "torus:2", "torus:8", "ga")
+    },
+    **{
+        f"lie-rep-ideal-two-{target.replace(':', '')}": [
+            "lie-rep-ideal", "--source", "{lie2}", "--target", target
+        ]
+        for target in ("sl2", "abelian:0", "abelian:3")
+    },
     "invariance": ["invariance", "--word", "a b a^-1", "--group", "{f2}", "--target", "sl:2"],
 }
 
 # (format, case) -> (exit code, stdout or "sha256:" and its digest), recorded
-# at commit d133644, where each command chose its format itself.
+# at commit d133644, where each command chose its format itself; the
+# cotangent targets past gl:2 and the two-relator Lie source at 425c5a9,
+# where cotangent built a CotangentData record.
 PINNED_OUTPUT = {
     ("text", "axioms"): (
         0,
@@ -897,6 +909,50 @@ PINNED_OUTPUT = {
     ),
     ("text", "invariance"): (0, "invariant: true\n"),
     ("json", "invariance"): (0, '{\n  "word": "a b a^-1",\n  "invariant": true\n}\n'),
+    ("text", "cotangent-sl1"): (0, "dimension: 0\n"),
+    ("json", "cotangent-sl1"): (
+        0,
+        '{\n  "target": "sl:1",\n  "dimension": 0,\n  "variables": [\n    "x11"\n  ],\n'
+        '  "kernel_basis": []\n}\n',
+    ),
+    ("text", "cotangent-sl3"): (0, "dimension: 8\n"),
+    ("json", "cotangent-sl3"): (
+        0,
+        "sha256:62d288fe714f99905c4cbb8929a67023baa4ac1d21fe98f2e6067176d4bf8cb4",
+    ),
+    ("text", "cotangent-gl3"): (0, "dimension: 9\n"),
+    ("json", "cotangent-gl3"): (
+        0,
+        "sha256:500b04e47008acaffc70ee7b7be6aa42f4abc1eba12cf0c9582e7245da6e73fb",
+    ),
+    ("text", "cotangent-torus2"): (0, "dimension: 2\n"),
+    ("json", "cotangent-torus2"): (
+        0,
+        "sha256:69500942cdc01c5a902409ac8ac1230e2b915cdac2d4bb9edae82389988922eb",
+    ),
+    ("text", "cotangent-torus8"): (0, "dimension: 8\n"),
+    ("json", "cotangent-torus8"): (
+        0,
+        "sha256:146fbbdc7ce74fc7544f61a111998300f11df5689d6e9d863daeaf23ce011fb8",
+    ),
+    ("text", "cotangent-ga"): (0, "dimension: 1\n"),
+    ("json", "cotangent-ga"): (
+        0,
+        '{\n  "target": "ga",\n  "dimension": 1,\n  "variables": [\n    "u"\n  ],\n'
+        '  "kernel_basis": [\n    [\n      "1"\n    ]\n  ]\n}\n',
+    ),
+    ("json", "lie-rep-ideal-two-sl2"): (
+        0,
+        "sha256:0c2ec0507ffd12f991448917635c8bb4cd197ce39ca6afa7f0d86eca0b5cd9f7",
+    ),
+    ("json", "lie-rep-ideal-two-abelian0"): (
+        0,
+        '{\n  "variables": [],\n  "ideal": [],\n  "provenance": []\n}\n',
+    ),
+    ("json", "lie-rep-ideal-two-abelian3"): (
+        0,
+        "sha256:9233fe3bfa8dccf4656d0c03ed9ad751d47fc0cfc94f1c117d1c10de00841d3b",
+    ),
 }
 
 
@@ -906,7 +962,15 @@ def test_every_command_prints_its_pinned_bytes(
 ):
     trivial = tmp_path / "trivial.json"
     trivial.write_text(json.dumps({"generators": [], "relators": []}))
-    files = {"z2": z2_file, "f2": f2_file, "ab2": abelian_lie_file, "trivial": str(trivial)}
+    lie2 = tmp_path / "lie2.json"
+    lie2.write_text(json.dumps({"generators": ["a", "b"], "relators": ["[a,b]", "[a,[a,b]]"]}))
+    files = {
+        "z2": z2_file,
+        "f2": f2_file,
+        "ab2": abelian_lie_file,
+        "trivial": str(trivial),
+        "lie2": str(lie2),
+    }
     argv = [a.format(**files) for a in PINNED_ARGV[case]]
     code, out, _ = invoke("--format", fmt, *argv)
     expected_code, expected = PINNED_OUTPUT[fmt, case]
