@@ -15,7 +15,7 @@ import importlib
 
 _EXPORTS = {
     "alggroups": (
-        "CotangentData", "LieAlgebraData", "LiePresentation", "PresentedCommHopf",
+        "LieAlgebraData", "LiePresentation", "PresentedCommHopf",
         "conjugation_substitution", "cotangent_at_identity", "make_group", "make_lie",
         "matrix_word", "trace_of_word",
     ),

@@ -181,22 +181,12 @@ def conjugation_substitution(p: Polynomial, group: PresentedCommHopf) -> Polynom
     return p.substitute(images)
 
 
-@dataclass(frozen=True)
-class CotangentData:
-    """Tangent data at the identity: the kernel of the linearized ideal."""
-
-    dimension: int
-    variables: Ring
-    linear_rows: tuple[tuple[Fraction, ...], ...]
-    kernel_basis: tuple[tuple[Fraction, ...], ...]
-
-
-def cotangent_at_identity(group: PresentedCommHopf) -> CotangentData:
-    """Linearize the defining ideal at the identity point.
+def cotangent_at_identity(group: PresentedCommHopf) -> list[list[Fraction]]:
+    """A basis of the tangent space at the identity, in ``group.variables`` coordinates.
 
     Each variable is shifted by its counit value; the degree-1 parts of
-    the shifted generators cut out the tangent space, whose dimension is
-    the number of variables minus the rank of the linear parts.
+    the shifted generators cut out the tangent space, whose basis is the
+    kernel of those linear parts.  Its length is the tangent dimension.
     """
     ring = group.variables
     point = group.counit_point()
@@ -206,19 +196,12 @@ def cotangent_at_identity(group: PresentedCommHopf) -> CotangentData:
     }
     rows = []
     for g in group.defining_ideal.generators:
-        shifted = g.substitute(shift)
         row = [Fraction(0)] * len(ring)
-        for exponents, coeff in shifted.terms:
+        for exponents, coeff in g.substitute(shift).terms:
             if sum(exponents) == 1:
                 row[exponents.index(1)] = coeff
-        rows.append(tuple(row))
-    kernel = linear_kernel([list(r) for r in rows], width=len(ring))
-    return CotangentData(
-        dimension=len(kernel),
-        variables=ring,
-        linear_rows=tuple(rows),
-        kernel_basis=tuple(tuple(v) for v in kernel),
-    )
+        rows.append(row)
+    return linear_kernel(rows, width=len(ring))
 
 
 # ---------------------------------------------------------------------------

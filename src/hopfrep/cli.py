@@ -171,7 +171,7 @@ def _cmd_rep_count(args) -> Result:
     points = repvariety.finite_rep_algebra(presentation, target)
     payload = {
         "count": len(points),
-        "points": [list(p) for p in points],
+        "points": points,
         "point_names": [[target.names[i] for i in p] for p in points],
     }
     return payload, _point_lines(payload, presentation.generators), 0
@@ -181,14 +181,14 @@ def _cmd_cotangent(args) -> Result:
     from . import alggroups
 
     group = alggroups.make_group(args.target)
-    data = alggroups.cotangent_at_identity(group)
+    basis = alggroups.cotangent_at_identity(group)
     payload = {
         "target": group.name,
-        "dimension": data.dimension,
-        "variables": list(data.variables),
-        "kernel_basis": [[str(x) for x in v] for v in data.kernel_basis],
+        "dimension": len(basis),
+        "variables": list(group.variables),
+        "kernel_basis": [[str(x) for x in v] for v in basis],
     }
-    return payload, map("dimension: {}".format, [data.dimension]), 0
+    return payload, map("dimension: {}".format, [len(basis)]), 0
 
 
 def _cmd_invariance(args) -> Result:

@@ -70,6 +70,15 @@ class RepIdealPresentation:
         return all(v == 0 for v in self.evaluate_point(point))
 
 
+def _presentation(ring: Ring, pairs: list[tuple[str, Polynomial]]) -> RepIdealPresentation:
+    """The presentation whose ``i``-th generator and source are ``pairs[i]``."""
+    return RepIdealPresentation(
+        ring=ring,
+        ideal=Ideal(ring, tuple(g for _, g in pairs)),
+        provenance=tuple(source for source, _ in pairs),
+    )
+
+
 def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPresentation:
     """Presentation of representations of ``group`` into ``target``.
 
@@ -80,25 +89,18 @@ def rep_ideal(group: GroupPresentation, target: PresentedCommHopf) -> RepIdealPr
     """
     n = group.n_generators
     ring = block_ring(target, range(1, n + 1))
-    generators: list[Polynomial] = []
-    provenance: list[str] = []
-    for copy in range(1, n + 1):
-        for g in block_ideal_generators(target, copy, ring):
-            generators.append(g)
-            provenance.append(f"copy_ideal:{copy}")
-    for index, relator in enumerate(group.relators):
-        matrix = matrix_word(relator, target)
-        size = len(matrix)
-        for i in range(size):
-            for j in range(size):
-                entry = matrix[i][j] - 1 if i == j else matrix[i][j]
-                generators.append(entry)
-                provenance.append(f"relator:{index}:entry:{i + 1},{j + 1}")
-    return RepIdealPresentation(
-        ring=ring,
-        ideal=Ideal(ring, tuple(generators)),
-        provenance=tuple(provenance),
+    copies = (
+        (f"copy_ideal:{copy}", g)
+        for copy in range(1, n + 1)
+        for g in block_ideal_generators(target, copy, ring)
     )
+    relators = (
+        (f"relator:{index}:entry:{i + 1},{j + 1}", entry - 1 if i == j else entry)
+        for index, relator in enumerate(group.relators)
+        for i, row in enumerate(matrix_word(relator, target))
+        for j, entry in enumerate(row)
+    )
+    return _presentation(ring, [*copies, *relators])
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +137,12 @@ def lie_rep_ideal(
         name: [Polynomial.variable(ring, f"y{i}_{k}") for k in range(1, d + 1)]
         for i, name in enumerate(source.generators, start=1)
     }
-    generators: list[Polynomial] = []
-    provenance: list[str] = []
-    for index, relator in enumerate(source.relators):
-        vector = evaluate_lie_expr(relator, assignment, target, ring)
-        for k, component in enumerate(vector, start=1):
-            generators.append(component)
-            provenance.append(f"relator:{index}:component:{k}")
-    return RepIdealPresentation(
-        ring=ring,
-        ideal=Ideal(ring, tuple(generators)),
-        provenance=tuple(provenance),
-    )
+    components = [
+        (f"relator:{index}:component:{k}", component)
+        for index, relator in enumerate(source.relators)
+        for k, component in enumerate(evaluate_lie_expr(relator, assignment, target, ring), 1)
+    ]
+    return _presentation(ring, components)
 
 
 # ---------------------------------------------------------------------------

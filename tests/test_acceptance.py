@@ -253,9 +253,9 @@ def test_criterion_08_lie_case():
     assert not presentation.satisfies(x_e_y_h)
     assert presentation.satisfies(x_e_y_e)
 
-    assert cotangent_at_identity(make_group("sl:2")).dimension == 3
-    assert cotangent_at_identity(make_group("gl:2")).dimension == 4
-    assert cotangent_at_identity(make_group("torus:1")).dimension == 1
+    assert len(cotangent_at_identity(make_group("sl:2"))) == 3
+    assert len(cotangent_at_identity(make_group("gl:2"))) == 4
+    assert len(cotangent_at_identity(make_group("torus:1"))) == 1
     _report(
         8,
         "free Lie source gives the zero ideal on 6 coordinates, the abelian pair the 3 "

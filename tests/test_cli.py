@@ -848,8 +848,7 @@ PINNED_ARGV = {
 
 # (format, case) -> (exit code, stdout or "sha256:" and its digest), recorded
 # at commit d133644, where each command chose its format itself; the
-# cotangent targets past gl:2 and the two-relator Lie source at 425c5a9,
-# where cotangent built a CotangentData record.
+# cotangent targets past gl:2 and the two-relator Lie source at 425c5a9.
 PINNED_OUTPUT = {
     ("text", "axioms"): (
         0,

@@ -14,8 +14,8 @@ The finite side must agree too: the `enumerate_homs` counts are equal.
 
 This oracle cannot catch a target whose `matrix` is wrong for its group law,
 such as a `torus:2` JSON with the matrix [["z1"]]: both presentations
-inherit the same wrong matrix.  Comparing F_p point counts of the rep ideal
-with `enumerate_homs` into G(F_p) would catch it.
+inherit the same wrong matrix.  `test_point_counts.py` catches it by
+comparing F_p point counts of the rep ideal with `enumerate_homs` into G(F_p).
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # Every name `hopfrep` exports, by the module it comes from.
 EXPORTS = {
     "alggroups": (
-        "CotangentData", "LieAlgebraData", "LiePresentation", "PresentedCommHopf",
+        "LieAlgebraData", "LiePresentation", "PresentedCommHopf",
         "conjugation_substitution", "cotangent_at_identity", "make_group", "make_lie",
         "matrix_word", "trace_of_word",
     ),
