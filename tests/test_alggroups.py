@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import Sequence
 
 import pytest
@@ -127,6 +128,33 @@ def test_shipped_sizes():
         make_group("sl:4")
     with pytest.raises(GroupDataError):
         make_group("mystery:1")
+
+
+SHIPPED_SPECS = [f"{kind}:{m}" for kind in ("sl", "gl") for m in (1, 2, 3)] + [
+    f"torus:{k}" for k in range(1, 9)
+] + ["ga"]
+SHIPPED_PINS = Path(__file__).parent / "data" / "shipped_targets.json"
+
+
+def _printed_target(group: PresentedCommHopf) -> dict:
+    """Everything a shipped target holds, as printed text."""
+    return {
+        "name": group.name,
+        "variables": list(group.variables),
+        "copy_templates": list(group.copy_templates),
+        "ideal": [str(g) for g in group.defining_ideal.generators],
+        "counit": [str(value) for value in group.counit],
+        "comultiplication": [str(p) for p in group.comultiplication],
+        "antipode": [str(p) for p in group.antipode],
+        "matrix": group.matrix and [[str(p) for p in row] for row in group.matrix],
+    }
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS)
+def test_shipped_targets_keep_their_printed_data(spec):
+    # Pinned from the hand-built constructors, before the group laws replaced them.
+    expected = json.loads(SHIPPED_PINS.read_text())[spec]
+    assert _printed_target(make_group(spec)) == expected
 
 
 # One reader for every spec: a family name, then -?[0-9]+, or an existing JSON path.
