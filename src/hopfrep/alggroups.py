@@ -7,8 +7,10 @@ variable copies), and the antipode is polynomial thanks to the adjugate
 trick -- inverse matrix entries are adjugate entries times a determinant-
 inverse generator, so no localization is ever needed.
 
-Shipped groups: GL(m) and SL(m) for m <= 3, tori, and the additive group.
-Arbitrary presented groups load from JSON and are validated, not trusted.
+Shipped groups: GL(m) and SL(m) for m <= 3, tori, and the additive group,
+each written as its group law on points (product and inverse), from which
+`_from_law` reads Delta and S.  Arbitrary presented groups load from JSON
+and are validated, not trusted.
 Multiple copies of a group live in block-renamed variable rings, which is
 the concrete form of the iterated tensor power of the coordinate ring.
 """
@@ -19,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .groups import FreeWord, JsonObject, ParseError, Presentation, read_spec
 from .groups import read_number, to_postfix, tokenize
@@ -286,115 +288,99 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
     require(product(xy, z), product(x, product(y, z)), "comultiplication is not coassociative")
 
 
+Point = Sequence[Polynomial]
+
+
+def _from_law(
+    name: str, variables: Ring, templates: tuple[str, ...], counit: Sequence[int],
+    ideal: Callable, product: Callable, inverse: Callable, matrix: Callable | None = None,
+) -> PresentedCommHopf:
+    """A group read off its law on points, a point being a list of coordinate polynomials.
+
+    ``ideal``, ``inverse`` and ``matrix`` (the rows) take a point and
+    ``product`` two.  Delta is the product of the primed point and the
+    double-primed one, and S the inverse of the point the variables make;
+    the ideal and the matrix are read on that point too.
+    """
+    point = [Polynomial.variable(variables, v) for v in variables]
+    doubled = _doubled(variables)
+    copies = [Polynomial.variable(doubled, v) for v in doubled]
+    return PresentedCommHopf(
+        name=name,
+        variables=variables,
+        defining_ideal=Ideal(variables, tuple(ideal(point))),
+        counit=tuple(Fraction(value) for value in counit),
+        comultiplication=tuple(product(copies[: len(point)], copies[len(point) :])),
+        antipode=tuple(inverse(point)),
+        copy_templates=templates,
+        matrix=None if matrix is None else tuple(map(tuple, matrix(point))),
+    )
+
+
 def _matrix_group(kind: str, size: int) -> PresentedCommHopf:
+    """GL(m) or SL(m): the matrix product, and the adjugate as inverse; GL's t is 1/det."""
     if not 1 <= size <= 3:
         raise GroupDataError(f"{kind}({size}): only sizes 1..3 ship")
-    entries = [f"x{i}{j}" for i in range(1, size + 1) for j in range(1, size + 1)]
-    has_t = kind == "gl"
-    variables = tuple(entries) + (("t",) if has_t else ())
-    templates = tuple(
-        "x{c}_" + f"{i}{j}" for i in range(1, size + 1) for j in range(1, size + 1)
-    ) + (("t{c}",) if has_t else ())
+    has_t, square = kind == "gl", range(size)
+    cells = [(i, j) for i in square for j in square]
 
-    var = {v: Polynomial.variable(variables, v) for v in variables}
-    x = [[var[f"x{i}{j}"] for j in range(1, size + 1)] for i in range(1, size + 1)]
-    det = _determinant(x, variables)
+    def rows(point: Point) -> list[Point]:
+        return [point[i * size : (i + 1) * size] for i in square]
 
-    def adjugate(i: int, j: int) -> Polynomial:
-        """Entry (i, j) of the adjugate: the signed minor of x without row j and column i."""
-        minor = [[x[r][c] for c in range(size) if c != i] for r in range(size) if r != j]
-        return (-1) ** (i + j) * _determinant(minor, variables)
+    def det(point: Point) -> Polynomial:
+        return _determinant(rows(point), point[0].ring)
 
-    if has_t:
-        ideal = Ideal(variables, (var["t"] * det - 1,))
-        antipode = tuple(
-            adjugate(i, j) * var["t"] for i in range(size) for j in range(size)
-        ) + (det,)
-    else:
-        ideal = Ideal(variables, (det - 1,))
-        antipode = tuple(adjugate(i, j) for i in range(size) for j in range(size))
+    def product(a: Point, b: Point) -> list[Polynomial]:
+        x, y, zero = rows(a), rows(b), Polynomial.zero(a[0].ring)
+        entries = [sum((x[i][k] * y[k][j] for k in square), zero) for i, j in cells]
+        return entries + [a[-1] * b[-1]] if has_t else entries
 
-    doubled = _doubled(variables)
-    dvar = {v: Polynomial.variable(doubled, v) for v in doubled}
-    comultiplication = []
-    for i in range(1, size + 1):
-        for j in range(1, size + 1):
-            comultiplication.append(
-                sum(
-                    (dvar[f"x{i}{k}'"] * dvar[f"x{k}{j}''"] for k in range(1, size + 1)),
-                    Polynomial.zero(doubled),
-                )
-            )
-    if has_t:
-        comultiplication.append(dvar["t'"] * dvar["t''"])
+    def inverse(point: Point) -> list[Polynomial]:
+        # Entry (i, j) of the adjugate is the signed minor without row j and column i.
+        x, ring = rows(point), point[0].ring
+        adjugate = [
+            (-1) ** (i + j) * _determinant([r[:i] + r[i + 1 :] for r in x[:j] + x[j + 1 :]], ring)
+            for i, j in cells
+        ]
+        return [entry * point[-1] for entry in adjugate] + [det(point)] if has_t else adjugate
 
-    counit = tuple(
-        Fraction(1) if i == j else Fraction(0)
-        for i in range(1, size + 1)
-        for j in range(1, size + 1)
-    ) + ((Fraction(1),) if has_t else ())
-
-    return PresentedCommHopf(
-        name=f"{kind}:{size}",
-        variables=variables,
-        defining_ideal=ideal,
-        counit=counit,
-        comultiplication=tuple(comultiplication),
-        antipode=antipode,
-        copy_templates=templates,
-        matrix=tuple(tuple(row) for row in x),
+    names = [f"{i + 1}{j + 1}" for i, j in cells]
+    return _from_law(
+        f"{kind}:{size}",
+        tuple("x" + name for name in names) + (("t",) if has_t else ()),
+        tuple("x{c}_" + name for name in names) + (("t{c}",) if has_t else ()),
+        [int(i == j) for i, j in cells] + ([1] if has_t else []),
+        lambda point: [point[-1] * det(point) - 1 if has_t else det(point) - 1],
+        product,
+        inverse,
+        rows,
     )
 
 
 def _torus_group(k: int) -> PresentedCommHopf:
+    """(G_m)^k: each z and its inverse t multiply coordinatewise; the inverse swaps them."""
     # Building grows about 6x per doubling of k; the cap matches abelian:d.
     if not 1 <= k <= 8:
         raise GroupDataError("torus supported for 1 <= k <= 8")
-    if k == 1:
-        variables: tuple[str, ...] = ("z", "t")
-        templates: tuple[str, ...] = ("z{c}", "t{c}")
-    else:
-        variables = tuple(
-            name for i in range(1, k + 1) for name in (f"z{i}", f"t{i}")
-        )
-        templates = tuple(
-            name for i in range(1, k + 1) for name in (f"z{i}_{{c}}", f"t{i}_{{c}}")
-        )
-    var = {v: Polynomial.variable(variables, v) for v in variables}
-    pairs = [(variables[2 * i], variables[2 * i + 1]) for i in range(k)]
-    ideal = Ideal(variables, tuple(var[z] * var[t] - 1 for z, t in pairs))
-    counit = tuple(Fraction(1) for _ in variables)
-    doubled = _doubled(variables)
-    dvar = {v: Polynomial.variable(doubled, v) for v in doubled}
-    comultiplication = tuple(dvar[f"{v}'"] * dvar[f"{v}''"] for v in variables)
-    antipode = []
-    for z, t in pairs:
-        antipode.extend([var[t], var[z]])
-    return PresentedCommHopf(
-        name=f"torus:{k}",
-        variables=variables,
-        defining_ideal=ideal,
-        counit=counit,
-        comultiplication=comultiplication,
-        antipode=tuple(antipode),
-        copy_templates=templates,
-        matrix=((var["z"],),) if k == 1 else None,
+    pairs = [("z", "t")] if k == 1 else [(f"z{i}", f"t{i}") for i in range(1, k + 1)]
+    suffix = "{c}" if k == 1 else "_{c}"
+    return _from_law(
+        f"torus:{k}",
+        tuple(name for pair in pairs for name in pair),
+        tuple(name + suffix for pair in pairs for name in pair),
+        [1] * 2 * k,
+        lambda point: [z * t - 1 for z, t in zip(point[::2], point[1::2])],
+        lambda a, b: [p * q for p, q in zip(a, b)],
+        lambda point: [c for z, t in zip(point[::2], point[1::2]) for c in (t, z)],
+        (lambda point: [[point[0]]]) if k == 1 else None,
     )
 
 
 def _additive_group() -> PresentedCommHopf:
-    variables = ("u",)
-    doubled = _doubled(variables)
-    return PresentedCommHopf(
-        name="ga",
-        variables=variables,
-        defining_ideal=Ideal(variables, ()),
-        counit=(Fraction(0),),
-        comultiplication=(
-            Polynomial.variable(doubled, "u'") + Polynomial.variable(doubled, "u''"),
-        ),
-        antipode=(-Polynomial.variable(variables, "u"),),
-        copy_templates=("u{c}",),
+    """G_a: the sum, and the negation as inverse."""
+    return _from_law(
+        "ga", ("u",), ("u{c}",), [0],
+        lambda point: [], lambda a, b: [a[0] + b[0]], lambda point: [-point[0]],
     )
 
 

@@ -13,6 +13,7 @@ stdout early ends the command quietly with 141.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -221,7 +222,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
     parser = _build_parser()
     polyalg = None
     try:
-        args = parser.parse_args(list(argv))
+        with contextlib.redirect_stdout(out):  # --help prints to sys.stdout
+            args = parser.parse_args(list(argv))
         if args.verbose:
             from . import polyalg
 
@@ -234,6 +236,8 @@ def run(argv: Sequence[str], out: IO[str] | None = None, err: IO[str] | None = N
             for line in lines:
                 _emit(out, line)
         return code
+    except SystemExit as exc:  # --help: argparse's exit, with the help on ``out``
+        return exc.code
     except (KeyError, ValueError) as exc:
         # Every error class of the library, and CliError, is a ValueError.
         _emit(err, f"error: {exc}")

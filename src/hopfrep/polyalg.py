@@ -244,20 +244,14 @@ class Polynomial:
             return ordered[self.terms[0][0].index(1)]
         return fold_substitute((self,), (), (ordered,), (0,))[0]
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at a rational point; every ring variable needs a value."""
+    def evaluate(self, point: Mapping[str, Coefficient]) -> Coefficient:
+        """Evaluate at a rational point, one value per ring variable, by substituting constants."""
         missing = [v for v in self.ring if v not in point]
         if missing:
             raise SubstitutionError(f"evaluation point missing variables {missing}")
-        values = [_exact(point[v]) for v in self.ring]
-        total = Fraction(0)
-        for exponents, coeff in self.terms:
-            term = coeff
-            for value, power in zip(values, exponents):
-                if power:
-                    term *= value**power
-            total += term
-        return total
+        constants = {v: Polynomial.constant((), point[v]) for v in self.ring}
+        value = self.substitute(constants) if constants else self
+        return value._terms[0][1] if value._terms else 0
 
     def rename(self, ring: Ring, mapping: Mapping[str, str]) -> "Polynomial":
         """Inject into ``ring`` by renaming each variable via ``mapping``."""

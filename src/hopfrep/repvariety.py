@@ -17,7 +17,6 @@ observables is decided by Groebner membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .alggroups import (
@@ -32,7 +31,7 @@ from .alggroups import (
     trace_of_word,
 )
 from .groups import FiniteGroup, FreeWord, GroupPresentation, WordError, enumerate_homs
-from .polyalg import GREVLEX, Ideal, Polynomial, Ring, embed, groebner, ideal_member
+from .polyalg import GREVLEX, Coefficient, Ideal, Polynomial, Ring, embed, groebner, ideal_member
 
 
 # ---------------------------------------------------------------------------
@@ -63,10 +62,10 @@ class RepIdealPresentation:
             ],
         }
 
-    def evaluate_point(self, point: Mapping[str, Fraction]) -> list[Fraction]:
+    def evaluate_point(self, point: Mapping[str, Coefficient]) -> list[Coefficient]:
         return [g.evaluate(point) for g in self.ideal.generators]
 
-    def satisfies(self, point: Mapping[str, Fraction]) -> bool:
+    def satisfies(self, point: Mapping[str, Coefficient]) -> bool:
         return all(v == 0 for v in self.evaluate_point(point))
 
 

@@ -183,6 +183,22 @@ def test_input_errors_exit_two(tmp_path, z2_file):
         assert err.startswith("error:"), argv
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["rep-ideal", "--help"]])
+def test_help_is_printed_on_the_given_stream(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert code == 0 and out.startswith("usage: hopfrep") and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_through_the_console_entry_point_exits_zero(monkeypatch, capsys):
+    from hopfrep.cli import main
+
+    monkeypatch.setattr(sys, "argv", ["hopfrep", "--help"])
+    with pytest.raises(SystemExit) as caught:
+        main()
+    assert caught.value.code == 0 and capsys.readouterr().out.startswith("usage: hopfrep")
+
+
 def test_cyclic_order_past_the_cap_exits_two(z2_file):
     code, out, err = invoke("rep-count", "--group", z2_file, "--finite", "cyclic:721")
     assert (code, out) == (2, "")
