@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .groups import FreeWord, JsonObject, ParseError, Presentation, read_spec
+from .groups import SIZE_LIMIT, FreeWord, JsonObject, ParseError, Presentation, read_spec
 from .groups import read_number, to_postfix, tokenize
 from .polyalg import (
     GREVLEX,
@@ -186,24 +186,24 @@ def conjugation_substitution(p: Polynomial, group: PresentedCommHopf) -> Polynom
 def cotangent_at_identity(group: PresentedCommHopf) -> list[list[Fraction]]:
     """A basis of the tangent space at the identity, in ``group.variables`` coordinates.
 
-    Each variable is shifted by its counit value; the degree-1 parts of
-    the shifted generators cut out the tangent space, whose basis is the
-    kernel of those linear parts.  Its length is the tangent dimension.
+    The tangent space is the kernel of the Jacobian of the defining ideal at
+    the counit p: a term c*x^e of a generator adds c*e_v*prod(p_w^(e_w - [w = v]))
+    to entry v of its row, w running over the term's variables.  The basis
+    is `linear_kernel`'s, and its length is the tangent dimension.
     """
-    ring = group.variables
-    point = group.counit_point()
-    shift = {
-        v: Polynomial.variable(ring, v) + Polynomial.constant(ring, point[v])
-        for v in ring
-    }
+    point = [int(x) if x.denominator == 1 else x for x in group.counit]
     rows = []
     for g in group.defining_ideal.generators:
-        row = [Fraction(0)] * len(ring)
-        for exponents, coeff in g.substitute(shift).terms:
-            if sum(exponents) == 1:
-                row[exponents.index(1)] = coeff
+        row = [0] * len(point)
+        for exponents, coeff in g.terms:
+            support = [(w, e) for w, e in enumerate(exponents) if e]
+            for v, e_v in support:
+                entry = coeff * e_v
+                for w, e in support:
+                    entry *= point[w] ** (e - (w == v))
+                row[v] += entry
         rows.append(row)
-    return linear_kernel(rows, width=len(ring))
+    return linear_kernel(rows, width=len(point))
 
 
 # ---------------------------------------------------------------------------
@@ -404,23 +404,25 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     unreadable = next((v for v in variables if not VARIABLE_NAME.fullmatch(v)), None)
     if unreadable is not None:
         raise data.fail(f'"variables" has {unreadable!r}, which is not a polynomial variable name')
-    doubled = _doubled(variables)
-    texts = data.array("ideal") if "ideal" in data else ()
-    ideal = Ideal(variables, tuple(parse_polynomial(s, variables) for s in texts))
+
+    def read(key: str, texts: Sequence[str], ring: Ring = variables) -> tuple[Polynomial, ...]:
+        """The polynomials under ``key``, each of total degree at most `SIZE_LIMIT`."""
+        polynomials = tuple(parse_polynomial(text, ring) for text in texts)
+        if any(p.total_degree() > SIZE_LIMIT for p in polynomials):
+            raise data.fail(f'"{key}" has a polynomial of degree over {SIZE_LIMIT}')
+        return polynomials
+
+    ideal = Ideal(variables, read("ideal", data.array("ideal") if "ideal" in data else ()))
     counit = _per_variable(data, "counit", variables, (int, float, str))
     counit = tuple(data.rational("counit", x) for x in counit)
-    comultiplication = tuple(
-        parse_polynomial(s, doubled) for s in _per_variable(data, "delta", variables)
-    )
-    antipode = tuple(
-        parse_polynomial(s, variables) for s in _per_variable(data, "antipode", variables)
-    )
+    comultiplication = read("delta", _per_variable(data, "delta", variables), _doubled(variables))
+    antipode = read("antipode", _per_variable(data, "antipode", variables))
     matrix = None
     if "matrix" in data:
         rows = data.array("matrix", 2)
         if not rows or any(len(row) != len(rows) for row in rows):
             raise data.fail('"matrix" must be a non-empty square matrix')
-        matrix = tuple(tuple(parse_polynomial(s, variables) for s in row) for row in rows)
+        matrix = tuple(read("matrix", row) for row in rows)
     return PresentedCommHopf(
         name=str(data.get("name", "custom")),
         variables=variables,
@@ -441,15 +443,14 @@ _SHIPPED_GROUPS = {
 }
 
 
-def make_group(spec) -> PresentedCommHopf:
-    """Build a presented group from a spec string.
+def make_group(spec: str) -> PresentedCommHopf:
+    """Build a presented group from a spec string, never from a built group.
 
     ``gl:m`` / ``sl:m`` (1 <= m <= 3), ``torus:k`` (1 <= k <= 8), ``ga``,
-    or a path to a JSON file with the full presentation schema.  A shipped
-    group is built and validated once per process.
+    or a path to a JSON file with the full presentation schema, whose
+    polynomials have total degree at most `SIZE_LIMIT`.  A shipped group
+    is built and validated once per process.
     """
-    if isinstance(spec, PresentedCommHopf):
-        return spec
     return read_spec(spec, "group", GroupDataError, _SHIPPED_GROUPS, _group_from_json)
 
 
@@ -516,14 +517,12 @@ def _lie_from_json(data: JsonObject) -> LieAlgebraData:
 _SHIPPED_LIE = {"sl2": _sl2_lie, "abelian:": _abelian_lie}
 
 
-def make_lie(spec) -> LieAlgebraData:
-    """Build a Lie algebra: ``sl2``, ``abelian:d`` (0 <= d <= 8), or explicit-constants JSON.
+def make_lie(spec: str) -> LieAlgebraData:
+    """Build a Lie algebra from a spec string: ``sl2``, ``abelian:d`` (0 <= d <= 8) or a JSON path.
 
     ``sl2`` has basis (e, f, h) with [h,e] = 2e, [h,f] = -2f, [e,f] = h.
     A shipped algebra is built and validated once per process.
     """
-    if isinstance(spec, LieAlgebraData):
-        return spec
     return read_spec(spec, "Lie", LieDataError, _SHIPPED_LIE, _lie_from_json)
 
 

@@ -126,11 +126,8 @@ class FreeWord:
         return FreeWord(rank, ())
 
     @staticmethod
-    def generator(rank: int, index: int, exponent: int = 1) -> "FreeWord":
-        if exponent == 0:
-            return FreeWord.identity(rank)
-        sign = 1 if exponent > 0 else -1
-        return FreeWord(rank, ((index, sign),) * abs(exponent))
+    def generator(rank: int, index: int) -> "FreeWord":
+        return FreeWord(rank, ((index, 1),))
 
     @staticmethod
     def generators(rank: int) -> tuple["FreeWord", ...]:
@@ -603,15 +600,13 @@ def _finite_group_from_json(data: JsonObject) -> FiniteGroup:
 _SHIPPED_FINITE_GROUPS = {"cyclic:": cyclic_group, "sym:": symmetric_group}
 
 
-def make_finite_group(spec) -> FiniteGroup:
-    """Build a finite group from a spec string or an explicit-table JSON file.
+def make_finite_group(spec: str) -> FiniteGroup:
+    """Build a finite group from a spec string, never from a built group.
 
     Accepted forms: ``cyclic:k`` (1 <= k <= 720), ``sym:k`` (1 <= k <= 6), or a
     path to JSON ``{"table": [[...]], "names": [...]}``.  A shipped group is
     built and validated once per process; a JSON file is read on every call.
     """
-    if isinstance(spec, FiniteGroup):
-        return spec
     return read_spec(
         spec, "finite group", GroupTableError, _SHIPPED_FINITE_GROUPS, _finite_group_from_json
     )

@@ -17,18 +17,19 @@ ring a monomial e is the key ``(deg e << 8wn) - sum(e[i] << 8w*i)``, n
 fields of w bytes under the total degree.  Descending key order is
 descending grevlex, and while every exponent stays below ``2**8w`` the
 product of two monomials is the sum of their keys.  A `Polynomial` keeps
-keys in the narrowest w of 1, 2, 4, 8, 16, ... bytes that holds its
-degree, so one value has one stored form, and every kernel reads and
-returns keys; exponent tuples exist only on input, in `Polynomial.terms`
-and in `rename` when it reorders variables.  One packed product loop
-serves ``*``, ``**``, `substitute` and `fold_substitute`, in the
-smallest w of at most 8 bytes that holds a degree bound on every
-monomial it can form: ``deg a + deg b`` for a product, ``k * deg a`` for
-a k-th power, and for `fold_substitute` (`substitute` is one step of
-it) the largest ``sum(e[i] * deg(value[i]))`` at every step of the fold,
-since a map need not raise degree monotonically.  `groebner` and
-`normal_form` add a guard bit atop each field and rerun in wider fields
-on overflow (`_Packing`); lex runs and operands in other fields repack.
+keys in the narrowest w of 1, 2, 4 and 8 bytes that holds its degree, so
+one value has one stored form and a total degree of 2**64 or more is
+refused; every kernel reads and returns keys, and exponent tuples exist
+only on input, in `Polynomial.terms` and in `rename` when it reorders
+variables.  One packed product loop serves ``*``, ``**``, `substitute`
+and `fold_substitute`, in the smallest w that holds a degree bound on
+every monomial it can form, and refuses a bound no w holds: ``deg a +
+deg b`` for a product, ``k * deg a`` for a k-th power, and for
+`fold_substitute` (`substitute` is one step of it) the largest
+``sum(e[i] * deg(value[i]))`` at every step of the fold, since a map
+need not raise degree monotonically.  `groebner` and `normal_form` add a
+guard bit atop each field and rerun in wider fields on overflow
+(`_Packing`); lex runs and operands in other fields repack.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class Polynomial:
             terms = tuple([(k, _exact(c * value)) for k, c in self._terms]) if value else ()
             return _polynomial(self.ring, terms, self._size if value else 1)
         other = self._coerce(other)
-        size = _field_size(sum(_degrees((self, other))), kernel=True)
+        size = _field_size(sum(_degrees((self, other))))
         product = _mul_into({}, _terms_in(self, size), _terms_in(other, size))
         return _from_acc(self.ring, product, size)
 
@@ -215,7 +216,7 @@ class Polynomial:
             raise ValueError("polynomial powers must be non-negative integers")
         if not exponent:
             return Polynomial.one(self.ring)
-        size = _field_size(exponent * max(self.total_degree(), 0), kernel=True)
+        size = _field_size(exponent * max(self.total_degree(), 0))
         return _from_acc(self.ring, dict(_pow_packed(_terms_in(self, size), exponent)), size)
 
     # -- substitution and evaluation ----------------------------------
@@ -304,14 +305,12 @@ def _polynomial(ring: Ring, terms: tuple, size: int, p: Polynomial | None = None
 _FIELDS = {1: "B", 2: "H", 4: "I", 8: "Q"}  # field size in bytes -> `struct` code
 
 
-def _field_size(degree: int, kernel: bool = False) -> int:
-    """The narrowest of 1, 2, 4, 8, 16, ... bytes that holds ``degree``; a kernel's is at most 8."""
-    size = 1
-    while degree >> 8 * size:
-        size *= 2
-    if kernel and size > 8:
-        raise ValueError(f"degree bound {degree} does not fit a 64-bit exponent")
-    return size
+def _field_size(degree: int) -> int:
+    """The narrowest of 1, 2, 4 and 8 bytes that holds ``degree``."""
+    for size in _FIELDS:
+        if not degree >> 8 * size:
+            return size
+    raise ValueError(f"degree bound {degree} does not fit a 64-bit exponent")
 
 
 def _degrees(polynomials: Sequence[Polynomial]) -> list[int]:
@@ -327,15 +326,9 @@ def _degree_bound(terms, degrees: Sequence[int]) -> int:
 @lru_cache(maxsize=None)
 def _packer(width: int, size: int, lex: bool = False) -> tuple[Callable, Callable]:
     """``(pack, unpack)`` between exponent tuples and keys in fields of ``size`` bytes."""
-    code = _FIELDS.get(size)
+    code = _FIELDS[size]
     shift = 8 * size * width
     mask = (1 << shift) - 1
-    if not code:  # fields wider than `struct` reads, one by one
-        field, offsets = (1 << 8 * size) - 1, range(0, shift, 8 * size)
-        return (
-            lambda e: (sum(e) << shift) - sum(x << b for x, b in zip(e, offsets)),
-            lambda keys: [tuple((-k & mask) >> b & field for b in offsets) for k in keys],
-        )
     # A pad byte keeps the layout non-empty, as `iter_unpack` needs, in a ring
     # with no variables; it is the top byte of every packed value, 0.
     nbytes = size * width + 1
@@ -457,7 +450,7 @@ def fold_substitute(
     for index in order:
         current = [_degree_bound(m.terms, current + block_degrees[index]) for m in maps]
         bound = max([bound, *current])
-    size = _field_size(bound, kernel=True)
+    size = _field_size(bound)
     values = [_terms_in(p, size) for p in start]
     packed_blocks = [[_terms_in(p, size) for p in block] for block in blocks]
     for index in order:

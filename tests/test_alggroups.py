@@ -650,6 +650,12 @@ def test_lie_relators_skip_any_whitespace():
     assert parse_lie_expr("[a,\t[a, b]]\n- 2 *\rb", names) == parse_lie_expr("[a,[a,b]]-2*b", names)
 
 
+def test_a_prefix_plus_changes_no_lie_relator():
+    names = ("a", "b")
+    assert parse_lie_expr("+[a,b]", names) == parse_lie_expr("[a,b]", names)
+    assert parse_lie_expr("[+a, (+b)] - 2*a", names) == parse_lie_expr("[a,b] - 2*a", names)
+
+
 def test_lie_presentation_json(tmp_path):
     path = tmp_path / "ab2.json"
     path.write_text(json.dumps({"generators": ["a", "b"], "relators": ["[a,b]"]}))

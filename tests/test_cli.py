@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -232,6 +233,38 @@ def test_sizes_past_the_limit_exit_two(tmp_path):
         code, out, err = invoke(*argv)
         assert (code, out) == (2, ""), argv
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+
+_CAPPED = 'group JSON: "{}" has a polynomial of degree over 1000000'
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("ideal", ["u^100000000000 - 1"], _CAPPED.format("ideal")),
+        ("delta", {"u": "u'^1000001"}, _CAPPED.format("delta")),
+        ("antipode", {"u": "u^1000000 * u"}, _CAPPED.format("antipode")),
+        ("matrix", [["u^1000001"]], _CAPPED.format("matrix")),
+        # No polynomial holds this degree, so the reader refuses it before the cap.
+        ("ideal", [f"u^{2**64}"], f"degree bound {2**64} does not fit a 64-bit exponent"),
+    ],
+)
+def test_a_target_polynomial_past_the_degree_cap_exits_two(tmp_path, key, value, message):
+    # With counit 2, checking the counit once computed 2^(10^11) exactly.
+    path = tmp_path / "power.json"
+    target = {"variables": ["u"], "counit": {"u": 2}, "delta": {"u": "u'*u''"}, "antipode": {"u": "u"}}
+    path.write_text(json.dumps({**target, key: value}))
+    start = time.perf_counter()
+    code, out, err = invoke("cotangent", "--target", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_target_polynomial_at_the_degree_cap_is_read(tmp_path):
+    path = tmp_path / "power.json"
+    target = {"variables": ["u"], "ideal": ["u^1000000 - 1"], "counit": {"u": 1}}
+    path.write_text(json.dumps({**target, "delta": {"u": "u'*u''"}, "antipode": {"u": "u^999999"}}))
+    assert invoke("cotangent", "--target", str(path)) == (0, "dimension: 0\n", "")
 
 
 @pytest.mark.parametrize("reader", ["Lie relator", "target ideal"])
@@ -706,6 +739,15 @@ TORUS_JSON = {
     "antipode": {"z": "w", "w": "z"},
     "matrix": [["z"]],
 }
+# The group of units again, as Z = z/2, T = w/2: a counit off the integers
+# and a generator whose Jacobian at the counit has entries T and Z.
+RATIONAL_COUNIT_JSON = {
+    "variables": ["Z", "T"],
+    "ideal": ["4*Z*T - 1"],
+    "counit": {"Z": "1/2", "T": "1/2"},
+    "delta": {"Z": "2*Z'*Z''", "T": "2*T'*T''"},
+    "antipode": {"Z": "T", "T": "Z"},
+}
 SL2_LIE_CONSTANTS = [
     [[0, 0, 0], [0, 0, 1], [-2, 0, 0]],
     [[0, 0, -1], [0, 0, 0], [0, 2, 0]],
@@ -851,8 +893,12 @@ PINNED_ARGV = {
     "cotangent": ["cotangent", "--target", "gl:2"],
     **{
         f"cotangent-{target.replace(':', '')}": ["cotangent", "--target", target]
-        for target in ("sl:1", "sl:3", "gl:3", "torus:2", "torus:8", "ga")
+        for target in (
+            "sl:1", "sl:2", "sl:3", "gl:1", "gl:3", "ga",
+            *(f"torus:{k}" for k in range(1, 9)),
+        )
     },
+    "cotangent-rational": ["cotangent", "--target", "{rational}"],
     **{
         f"lie-rep-ideal-two-{target.replace(':', '')}": [
             "lie-rep-ideal", "--source", "{lie2}", "--target", target
@@ -864,7 +910,8 @@ PINNED_ARGV = {
 
 # (format, case) -> (exit code, stdout or "sha256:" and its digest), recorded
 # at commit d133644, where each command chose its format itself; the
-# cotangent targets past gl:2 and the two-relator Lie source at 425c5a9.
+# cotangent targets past gl:2 and the two-relator Lie source at 425c5a9; the
+# remaining shipped cotangent targets and the rational counit at 7344a06.
 PINNED_OUTPUT = {
     ("text", "axioms"): (
         0,
@@ -956,6 +1003,54 @@ PINNED_OUTPUT = {
         '{\n  "target": "ga",\n  "dimension": 1,\n  "variables": [\n    "u"\n  ],\n'
         '  "kernel_basis": [\n    [\n      "1"\n    ]\n  ]\n}\n',
     ),
+    ("text", "cotangent-sl2"): (0, "dimension: 3\n"),
+    ("json", "cotangent-sl2"): (
+        0,
+        "sha256:badd18931ded9c7dc3a90e7eb491cc7128e23d3d2584d714d131f216262822dd",
+    ),
+    ("text", "cotangent-gl1"): (0, "dimension: 1\n"),
+    ("json", "cotangent-gl1"): (
+        0,
+        '{\n  "target": "gl:1",\n  "dimension": 1,\n  "variables": [\n    "x11",\n    "t"\n  ],\n'
+        '  "kernel_basis": [\n    [\n      "-1",\n      "1"\n    ]\n  ]\n}\n',
+    ),
+    ("text", "cotangent-torus1"): (0, "dimension: 1\n"),
+    ("json", "cotangent-torus1"): (
+        0,
+        '{\n  "target": "torus:1",\n  "dimension": 1,\n  "variables": [\n    "z",\n    "t"\n  ],\n'
+        '  "kernel_basis": [\n    [\n      "-1",\n      "1"\n    ]\n  ]\n}\n',
+    ),
+    ("text", "cotangent-torus3"): (0, "dimension: 3\n"),
+    ("json", "cotangent-torus3"): (
+        0,
+        "sha256:fde7eb903d850ca106c8a5611f73f413c0f1ffb5644ae0cef2c74e40cacfeb16",
+    ),
+    ("text", "cotangent-torus4"): (0, "dimension: 4\n"),
+    ("json", "cotangent-torus4"): (
+        0,
+        "sha256:914520dbd2b8b1a4cecace7ac73bd820a6f05f272a48aff036f2cdd46177e0ee",
+    ),
+    ("text", "cotangent-torus5"): (0, "dimension: 5\n"),
+    ("json", "cotangent-torus5"): (
+        0,
+        "sha256:b38796cf78ab660254fa05c3ba9beabcbf99e02c78537b98cd3491701e484d03",
+    ),
+    ("text", "cotangent-torus6"): (0, "dimension: 6\n"),
+    ("json", "cotangent-torus6"): (
+        0,
+        "sha256:600cdc973e5d16e295a4ca49e62d1263a646fb6089c65732819fac4743649a43",
+    ),
+    ("text", "cotangent-torus7"): (0, "dimension: 7\n"),
+    ("json", "cotangent-torus7"): (
+        0,
+        "sha256:c48c7477ad3876458c30013b7613d76bcf043afa861a1a272bb4d1ceefa34cac",
+    ),
+    ("text", "cotangent-rational"): (0, "dimension: 1\n"),
+    ("json", "cotangent-rational"): (
+        0,
+        '{\n  "target": "custom",\n  "dimension": 1,\n  "variables": [\n    "Z",\n    "T"\n  ],\n'
+        '  "kernel_basis": [\n    [\n      "-1",\n      "1"\n    ]\n  ]\n}\n',
+    ),
     ("json", "lie-rep-ideal-two-sl2"): (
         0,
         "sha256:0c2ec0507ffd12f991448917635c8bb4cd197ce39ca6afa7f0d86eca0b5cd9f7",
@@ -979,12 +1074,15 @@ def test_every_command_prints_its_pinned_bytes(
     trivial.write_text(json.dumps({"generators": [], "relators": []}))
     lie2 = tmp_path / "lie2.json"
     lie2.write_text(json.dumps({"generators": ["a", "b"], "relators": ["[a,b]", "[a,[a,b]]"]}))
+    rational = tmp_path / "rational.json"
+    rational.write_text(json.dumps(RATIONAL_COUNIT_JSON))
     files = {
         "z2": z2_file,
         "f2": f2_file,
         "ab2": abelian_lie_file,
         "trivial": str(trivial),
         "lie2": str(lie2),
+        "rational": str(rational),
     }
     argv = [a.format(**files) for a in PINNED_ARGV[case]]
     code, out, _ = invoke("--format", fmt, *argv)

@@ -146,6 +146,30 @@ def test_word_longer_than_the_size_limit_is_refused():
         W("a^-100000000000", ("a",))
 
 
+_X1, _Y1 = FreeWord.generator(1, 1), FreeWord.generator(2, 1)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: FreeWord(-1), WordError, "rank must be non-negative"),
+        (lambda: _X1 * _Y1, WordError, "rank mismatch: 1 vs 2"),
+        (lambda: FreeWord.identity(0).substitute([]), WordError, "target rank is required"),
+        (lambda: _Y1.substitute([_X1, _Y1]), WordError, "images have unequal ranks"),
+        (lambda: _X1.substitute([_X1], rank=2), WordError, "images have unequal ranks"),
+        (lambda: FiniteGroup.from_table([]), GroupTableError, "empty table"),
+        (lambda: FiniteGroup.from_table([[0]], ["e", "f"]), GroupTableError, "number of element names"),
+    ],
+    ids=[
+        "negative-rank", "product-ranks", "no-images", "image-ranks", "target-rank",
+        "empty-table", "names",
+    ],
+)
+def test_malformed_words_and_tables_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 # -- presentations -----------------------------------------------------------
 
 

@@ -129,6 +129,44 @@ def test_from_dict_terms_strictly_descend_in_grevlex(mapping):
     assert dict(p.terms) == {e: c for e, c in mapping.items() if c}
 
 
+_S, _T = (Polynomial.variable(_TARGET, v) for v in _TARGET)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: Polynomial.variable(RING, "w"), RingMismatchError, "'w' is not in the ring"),
+        (lambda: X**-1, ValueError, "powers must be non-negative integers"),
+        (
+            lambda: X.substitute({"x": _S, "y": _T, "z": _T, "w": _S}),
+            SubstitutionError,
+            r"maps unknown variables \['w'\]",
+        ),
+        (
+            lambda: X.substitute({"x": _S, "y": _T, "z": Polynomial.zero(("q",))}),
+            RingMismatchError,
+            "images live in different rings",
+        ),
+        (lambda: X.rename(_TARGET, {}), RingMismatchError, "'x' is not in the target ring"),
+        (lambda: Ideal(RING, (_S,)), RingMismatchError, "ideal generator in a different ring"),
+        (lambda: groebner(Ideal(RING, (X,)), "deglex"), ValueError, "unknown monomial order"),
+        (
+            lambda: ideal_member(_S, groebner(Ideal(RING, (X,)))),
+            RingMismatchError,
+            "does not match the basis ring",
+        ),
+        (lambda: linear_kernel([[1, 2], [3]]), ValueError, "matrix rows have unequal lengths"),
+    ],
+    ids=[
+        "variable", "negative-power", "extra-image", "image-rings", "rename", "ideal-ring",
+        "order", "member-ring", "kernel-rows",
+    ],
+)
+def test_malformed_operands_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 # -- the packed product kernel ----------------------------------------------
 #
 # `*`, `**`, `substitute` and `fold_substitute` all multiply packed
@@ -275,25 +313,26 @@ def test_substitute_rejects_a_degree_bound_past_64_bits():
         return Polynomial(RING, (((k, 0, 0), 1),))
 
     assert x_to_the(2**64 - 1).substitute(images).terms == (((2**64 - 1, 0), 1),)
-    big = X ** (2**63)  # the bound passes 2^64 only once x maps to s^2
+    with pytest.raises(ValueError, match="64-bit"):  # no polynomial holds the next degree
+        x_to_the(2**64)
+    p = X ** (2**63) + Y  # the bound passes 2^64 only once x maps to s^2
     squared = {**images, "x": s**2}
     assert (X ** (2**63 - 1) * Y).substitute(squared).terms == (((2**64 - 2, 1), 1),)
-    for p, p_images in ((x_to_the(2**64), images), (big + Y, squared)):
-        with pytest.raises(ValueError, match="64-bit"):
-            p.substitute(p_images)
-        with pytest.raises(ValueError, match="64-bit"):
-            polyalg.fold_substitute([p], [], [[p_images[v] for v in RING]], [0])
+    with pytest.raises(ValueError, match="64-bit"):
+        p.substitute(squared)
+    with pytest.raises(ValueError, match="64-bit"):
+        polyalg.fold_substitute([p], [], [[squared[v] for v in RING]], [0])
 
 
 def test_substitute_counts_every_image_in_the_degree_bound():
-    # An image's degree widens the packed fields even where no term uses it,
-    # so an unused image of degree 2^64 is refused.
+    # An image's degree widens the packed fields even where no term uses it;
+    # the widest image a polynomial can be, degree 2^64 - 1, still fits, and
+    # the result is stored in its own narrow fields.
     s, t = (Polynomial.variable(_TARGET, v) for v in _TARGET)
-    wide = Polynomial(_TARGET, (((300, 0), 1),))
-    assert (X * Y + 1).substitute({"x": s, "y": t, "z": wide}) == s * t + 1
-    too_wide = Polynomial(_TARGET, (((2**64, 0), 1),))
-    with pytest.raises(ValueError, match="64-bit"):
-        (X * Y + 1).substitute({"x": s, "y": t, "z": too_wide})
+    for degree in (300, 2**64 - 1):
+        wide = Polynomial(_TARGET, (((degree, 0), 1),))
+        image = (X * Y + 1).substitute({"x": s, "y": t, "z": wide})
+        assert image == s * t + 1 and image._size == 1
 
 
 def test_fold_substitute_rejects_a_degree_bound_past_64_bits_mid_fold():
@@ -843,10 +882,13 @@ _CAP = polyalg._TABLE_POWERS
 
 @st.composite
 def _printable_polys(draw):
-    """Rings of 0, 1, 3 or 30 variables; powers around the table cap and 2^64."""
+    """Rings of 0, 1, 3 or 30 variables; powers around the table cap and 2^59.
+
+    Thirty powers of 2^59 sum to less than 2^64, so every draw is a polynomial.
+    """
     ring = tuple(f"v{i}" for i in range(draw(st.sampled_from((0, 1, 3, 30)))))
     power = st.one_of(
-        st.sampled_from((0, 0, 0, 1, _CAP, _CAP + 1, 2**64)), st.integers(0, _CAP + 2)
+        st.sampled_from((0, 0, 0, 1, _CAP, _CAP + 1, 2**59)), st.integers(0, _CAP + 2)
     )
     coefficient = st.one_of(
         st.sampled_from((1, -1, Fraction(1, 2), Fraction(-1, 2))),
@@ -861,14 +903,14 @@ def _printable_polys(draw):
 @example(Polynomial.zero(()))
 @example(Polynomial.constant((), -1))
 @example(Polynomial.from_dict(RING, {(0, 0, 0): 1, (_CAP, 1, 0): -1, (0, _CAP + 1, 2): Fraction(-1, 2)}))
-@example(Polynomial(RING, (((2**64, 0, 0), Fraction(1, 2)), ((0, 0, 0), -1))))
+@example(Polynomial(RING, (((2**64 - 1, 0, 0), Fraction(1, 2)), ((0, 0, 0), -1))))
 def test_format_matches_the_factor_by_factor_oracle(p):
     assert format_polynomial(p) == _format_oracle(p) == str(p)
 
 
 def test_format_tables_stay_capped():
-    huge = Polynomial(RING, (((2**64, 0, 0), 1),))
-    assert format_polynomial(huge) == f"x^{2**64}"
+    huge = Polynomial(RING, (((2**64 - 1, 0, 0), 1),))
+    assert format_polynomial(huge) == f"x^{2**64 - 1}"
     assert format_polynomial(-X ** (_CAP + 1) * Y**_CAP) == f"-x^{_CAP + 1}*y^{_CAP}"
     assert all(len(table) == _CAP + 1 for table in map(polyalg._powers, RING))
     assert polyalg._powers.cache_info().maxsize is not None
@@ -879,11 +921,14 @@ def test_format_tables_stay_capped():
 # A polynomial's packed fields follow from its total degree, so a value built
 # along any path compares, hashes and prints the same.  Exponents sit at the
 # edges of the field widths: 127/128 (a Groebner guard bit), 255/256,
-# 65535/65536, and 2^64 and above, past the 64-bit kernels.
+# 65535/65536, 2^32, and 2^63 and 2^64 - 1, the largest degree a polynomial
+# holds; an exponent tuple of a larger degree is refused when it is built.
 
-_EDGE_EXPONENTS = (0, 1, 2, 127, 128, 255, 256, 65535, 65536, 2**32, 2**64 - 1, 2**64, 2**70)
+_EDGE_EXPONENTS = (0, 1, 2, 127, 128, 255, 256, 65535, 65536, 2**32, 2**63, 2**64 - 1)
 _edge_terms = st.dictionaries(
-    st.tuples(*[st.sampled_from(_EDGE_EXPONENTS)] * 3), _kernel_coeffs, max_size=4
+    st.tuples(*[st.sampled_from(_EDGE_EXPONENTS)] * 3).filter(lambda e: sum(e) < 2**64),
+    _kernel_coeffs,
+    max_size=4,
 )
 _PADDED = ("a", *RING, "b")
 
@@ -903,12 +948,11 @@ def _built_every_way(mapping):
         base + X**300 - X**300,  # through 2-byte fields and back
         base + 1 - 1,
     ]
-    if base.total_degree() < 2**64:  # the degree bound of the 64-bit kernels
-        monomials = (c * X ** e[0] * Y ** e[1] * Z ** e[2] for e, c in items)
-        built.append(sum(monomials, Polynomial.zero(RING)))
-        swapped = {"x": Y, "y": X, "z": Z}
-        built.append(base.substitute(swapped).substitute(swapped))
-        built.append(base * 1 * Polynomial.one(RING))
+    monomials = (c * X ** e[0] * Y ** e[1] * Z ** e[2] for e, c in items)
+    built.append(sum(monomials, Polynomial.zero(RING)))
+    swapped = {"x": Y, "y": X, "z": Z}
+    built.append(base.substitute(swapped).substitute(swapped))
+    built.append(base * 1 * Polynomial.one(RING))
     return built
 
 
@@ -916,7 +960,7 @@ def _built_every_way(mapping):
 @given(_edge_terms)
 @example({(255, 0, 0): 1, (0, 1, 0): -1})
 @example({(256, 0, 0): Fraction(1, 2), (0, 0, 65535): 1})
-@example({(2**64, 0, 0): 1, (0, 2**64 - 1, 0): 3})
+@example({(2**64 - 1, 0, 0): 1, (0, 2**63, 2**63 - 1): 3})
 def test_equal_values_built_along_every_path_are_one_value(mapping):
     built = _built_every_way(mapping)
     base = built[0]
@@ -936,7 +980,10 @@ def test_the_stored_form_follows_the_degree_not_the_path():
     assert narrow == from_wide and hash(narrow) == hash(from_wide)
     assert narrow._size == from_wide._size == 1
     assert (X**255)._size == 1 and (X**256)._size == 2 and (X**65536)._size == 4
-    assert Polynomial(RING, (((2**64, 0, 0), 1),))._size == 16
+    assert Polynomial(RING, (((2**64 - 1, 0, 0), 1),))._size == 8
+    for exponents in ((2**64, 0, 0), (2**63, 2**63, 0), (2**70, 0, 1)):
+        with pytest.raises(ValueError, match="64-bit"):
+            Polynomial(RING, ((exponents, 1),))
     with pytest.raises(ValueError, match="repeated"):
         Polynomial(RING, (((1, 0, 0), 1), ((1, 0, 0), 2)))
     with pytest.raises(ValueError, match="exponents for the ring"):

@@ -420,6 +420,14 @@ def test_hopf_action_refuses_labels_outside_the_model(s3):
     }
 
 
+def test_hopf_action_skips_a_zero_coefficient_input():
+    # A zero coefficient is spread like any other and its products dropped.
+    model = TensorAlgebraModel(2, 2)
+    mu, zero = generator_morphism("mu"), {(1,): Fraction(0), (2,): Fraction(1)}
+    assert hopf_action(identity_morphism(1), model, [zero]) == {((2,),): Fraction(1)}
+    assert hopf_action(mu, model, [zero, model.generator(1)]) == {((2, 1),): Fraction(1)}
+
+
 def test_delta_action_correlates_legs():
     # the coproduct of a primitive element splits across the two outputs
     model = TensorAlgebraModel(1, 1)
@@ -515,3 +523,39 @@ def test_linhom_canonical_form():
 def test_linhom_rejects_mixed_arity():
     with pytest.raises(ArityError):
         LinHom.of(single("x1", 1)) + LinHom.of(single("x1", 2))
+
+
+# -- refusals --------------------------------------------------------------------
+
+_ID1 = identity_morphism(1)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: HMorphism(-1, 0, ()), ArityError, "arities must be non-negative"),
+        (lambda: HMorphism(1, 2, (FreeWord.generator(1, 1),)), ArityError, "expected 2 words, got 1"),
+        (
+            lambda: HMorphism(1, 1, (FreeWord.generator(2, 1),)),
+            ArityError,
+            "word rank 2 does not match domain 1",
+        ),
+        (lambda: Id(-1), ArityError, "identity width must be non-negative"),
+        (lambda: LinHom(1, 1, ((single("x1", 2), Fraction(1)),)), ArityError, "mixes arities"),
+        (lambda: LinHom(1, 1, ((_ID1, Fraction(0)),)), ValueError, "zero coefficient stored"),
+        (
+            lambda: LinHom(1, 1, ((_ID1, Fraction(1)), (_ID1, Fraction(2)))),
+            ValueError,
+            "duplicate morphism stored",
+        ),
+        (lambda: TensorAlgebraModel(2, 0), ValueError, "truncation degree must be at least 1"),
+        (lambda: TensorAlgebraModel(2, 3).generator(3), ValueError, r"index 3 outside 1\.\.2"),
+    ],
+    ids=[
+        "negative-arity", "too-few-words", "word-rank", "negative-identity", "mixed-arities",
+        "zero-coefficient", "duplicate-morphism", "zero-truncation", "generator-index",
+    ],
+)
+def test_malformed_values_are_refused(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -12,6 +12,7 @@ from hopfrep.alggroups import LiePresentation, make_group, make_lie, parse_lie_e
 from hopfrep.groups import (
     FreeWord,
     GroupPresentation,
+    WordError,
     cyclic_group,
     enumerate_homs,
     evaluate_word,
@@ -240,6 +241,11 @@ def test_vanishing_generator_relator(sl2_lie):
 
 def test_trace_invariance_basic(sl2):
     assert check_trace_invariance(parse_word("a", ("a", "b")), F2, sl2)
+
+
+def test_trace_invariance_refuses_a_word_of_another_rank(sl2):
+    with pytest.raises(WordError, match="word rank 1 does not match 2 generators"):
+        check_trace_invariance(parse_word("a", ("a",)), F2, sl2)
 
 
 def test_entry_observable_fails(sl2):
