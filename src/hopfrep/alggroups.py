@@ -28,9 +28,11 @@ from .groups import read_number, to_postfix, tokenize
 from .polyalg import (
     GREVLEX,
     VARIABLE_NAME,
+    DegreeBoundError,
     Ideal,
     Polynomial,
     Ring,
+    _degree_bound,
     embed,
     fold_substitute,
     groebner,
@@ -242,12 +244,16 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
     clash = next((v for v in ring if v + "'" in ring), None)
     if clash is not None:
         raise GroupDataError(f"{group.name}: variable {clash}' is also the primed copy of {clash}")
-    point = group.counit_point()
-    for g in group.defining_ideal.generators:
-        if g.evaluate(point) != 0:
-            raise GroupDataError(f"{group.name}: counit is not a zero of generator {g}")
-
     ideal = group.defining_ideal.generators
+    point = [Polynomial.constant((), value) for value in group.counit]
+
+    def at_counit(polynomials: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
+        return fold_substitute(polynomials, point, [[]], [0])
+
+    missed = next((g for g, v in zip(ideal, at_counit(ideal)) if not v.is_zero()), None)
+    if missed is not None:
+        raise GroupDataError(f"{group.name}: counit is not a zero of generator {missed}")
+
     blocks = tuple(f"{c}{i}" for c in "xyz" for i in range(len(ring)))
     x, y, z = ([Polynomial.variable(blocks, f"{c}{i}") for i in range(len(ring))] for c in "xyz")
     e = [Polynomial.constant(blocks, value) for value in group.counit]
@@ -271,11 +277,13 @@ def _validate_hopf(group: PresentedCommHopf) -> None:
         if not all(ideal_member(at(g, image), gb) for g in ideal):
             raise GroupDataError(f"{group.name}: {name} does not preserve the ideal")
     if group.matrix is not None:
+        size = len(group.matrix)
+        identity = [Polynomial.constant((), int(i == j)) for i in range(size) for j in range(size)]
+        if list(at_counit([entry for row in group.matrix for entry in row])) != identity:
+            raise GroupDataError(f"{group.name}: matrix is not the identity at the counit")
         left, right = ([[at(entry, p) for entry in row] for row in group.matrix] for p in (x, y))
         for i, row in enumerate(group.matrix):
             for j, entry in enumerate(row):
-                if entry.evaluate(point) != (1 if i == j else 0):
-                    raise GroupDataError(f"{group.name}: matrix is not the identity at the counit")
                 terms = (left[i][k] * right[k][j] for k in range(len(row)))
                 if not ideal_member(at(entry, xy) - sum(terms, Polynomial.zero(blocks)), gb):
                     raise GroupDataError(
@@ -394,6 +402,12 @@ def _per_variable(data: JsonObject, key: str, variables: Sequence[str], leaf=str
     return [table[v] for v in variables]
 
 
+# The cap on sum(e[i] * bits(counit[i])) over a term's variables, where bits
+# counts numerator and denominator: a term of degree `SIZE_LIMIT` at a counit
+# of 1 or -1 (two bits) is read, one of degree 10**5 at 10**64 is not.
+_COUNIT_BITS = 2 * SIZE_LIMIT
+
+
 def _group_from_json(data: JsonObject) -> PresentedCommHopf:
     variables = data.array("variables")
     if not variables:
@@ -407,8 +421,11 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
 
     def read(key: str, texts: Sequence[str], ring: Ring = variables) -> tuple[Polynomial, ...]:
         """The polynomials under ``key``, each of total degree at most `SIZE_LIMIT`."""
-        polynomials = tuple(parse_polynomial(text, ring) for text in texts)
-        if any(p.total_degree() > SIZE_LIMIT for p in polynomials):
+        try:
+            polynomials = tuple(parse_polynomial(text, ring) for text in texts)
+        except DegreeBoundError:  # no `Polynomial` holds the degree, far past the cap
+            polynomials = None
+        if polynomials is None or any(p.total_degree() > SIZE_LIMIT for p in polynomials):
             raise data.fail(f'"{key}" has a polynomial of degree over {SIZE_LIMIT}')
         return polynomials
 
@@ -423,6 +440,17 @@ def _group_from_json(data: JsonObject) -> PresentedCommHopf:
         if not rows or any(len(row) != len(rows) for row in rows):
             raise data.fail('"matrix" must be a non-empty square matrix')
         matrix = tuple(read("matrix", row) for row in rows)
+    # Validation reads the ideal, the matrix and one block of Delta at the
+    # counit, so every term's size there is capped before anything is evaluated.
+    bits = [abs(c.numerator).bit_length() + c.denominator.bit_length() for c in counit]
+    read_at_counit = (
+        ("ideal", ideal.generators, bits),
+        ("delta", comultiplication, bits * 2),
+        ("matrix", [entry for row in matrix or () for entry in row], bits),
+    )
+    for key, polynomials, sizes in read_at_counit:
+        if any(_degree_bound(p.terms, sizes) > _COUNIT_BITS for p in polynomials):
+            raise data.fail(f'"counit" makes a term of "{key}" over {_COUNIT_BITS} bits')
     return PresentedCommHopf(
         name=str(data.get("name", "custom")),
         variables=variables,
@@ -448,8 +476,9 @@ def make_group(spec: str) -> PresentedCommHopf:
 
     ``gl:m`` / ``sl:m`` (1 <= m <= 3), ``torus:k`` (1 <= k <= 8), ``ga``,
     or a path to a JSON file with the full presentation schema, whose
-    polynomials have total degree at most `SIZE_LIMIT`.  A shipped group
-    is built and validated once per process.
+    polynomials have total degree at most `SIZE_LIMIT` and whose terms
+    read at the counit at most `_COUNIT_BITS` bits.  A shipped group is
+    built and validated once per process.
     """
     return read_spec(spec, "group", GroupDataError, _SHIPPED_GROUPS, _group_from_json)
 

@@ -66,6 +66,10 @@ class PolynomialParseError(ParseError):
     """Malformed polynomial text.  Carries the 1-based offending column."""
 
 
+class DegreeBoundError(ValueError):
+    """A degree bound of 2**64 or more, which no packed monomial holds."""
+
+
 def _exact(value) -> Coefficient:
     """``value`` as a coefficient: an ``int`` if it is an integer, else a ``Fraction``.
 
@@ -310,7 +314,7 @@ def _field_size(degree: int) -> int:
     for size in _FIELDS:
         if not degree >> 8 * size:
             return size
-    raise ValueError(f"degree bound {degree} does not fit a 64-bit exponent")
+    raise DegreeBoundError(f"degree bound {degree} does not fit a 64-bit exponent")
 
 
 def _degrees(polynomials: Sequence[Polynomial]) -> list[int]:
@@ -563,7 +567,7 @@ def _packed_run(width: int, order: str, degree: int, run: Callable):
 class _Packed:
     """A polynomial inside `groebner`: its packed terms and their `_Packing`."""
 
-    terms: list
+    terms: list | dict
     packing: _Packing
 
     def is_zero(self) -> bool:
@@ -571,6 +575,8 @@ class _Packed:
 
 
 def _monic(terms: list) -> list:
+    if terms[0][1] == 1:
+        return terms
     inverse = _exact(Fraction(1, terms[0][1]))
     return [(k, _exact(c * inverse)) for k, c in terms]
 
@@ -578,7 +584,7 @@ def _monic(terms: list) -> list:
 def _reduce(terms, divisors, packing: _Packing) -> list:
     """Packed remainder of ``terms`` by prepared ``divisors``, largest first."""
     guards, mask, lex, overflow = packing.guards, packing.mask, packing.lex, packing.overflow
-    work = dict(terms)
+    work = terms if type(terms) is dict else dict(terms)  # a dict is worked in, not copied
     # Each monomial is pushed once, when it enters ``work``.  A step only adds
     # monomials below the one it reduces, so a popped monomial never comes
     # back; one that cancels keeps its zero in ``work`` and is skipped when
@@ -635,7 +641,7 @@ def normal_form(p: Polynomial | _Packed, divisors, order: str = GREVLEX) -> Poly
 
 
 def _s_polynomial(f: tuple, g: tuple, lcm: int, packing: _Packing) -> _Packed:
-    """S-polynomial of two prepared monic divisors: their tails shifted up to ``lcm``."""
+    """S-polynomial of two prepared monic divisors: their tails shifted up to ``lcm``, a dict."""
     (_, lf, _, tail_f), (_, lg, _, tail_g) = f, g
     acc = {t + lcm - lf: c for t, c in tail_f}
     for t, c in tail_g:
@@ -643,7 +649,7 @@ def _s_polynomial(f: tuple, g: tuple, lcm: int, packing: _Packing) -> _Packed:
         acc[moved] = acc.get(moved, 0) - c
     if lcm > packing.limit or packing.overflow and any(k & packing.overflow for k in acc):
         raise _Overflow
-    return _Packed([t for t in acc.items() if t[1]], packing)
+    return _Packed(acc, packing)
 
 
 # When set, `groebner` writes one line of stats here per basis (``--verbose``).
@@ -695,33 +701,39 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
         lm = d[0]  # the plain fields of lm(h)
         basis.append(h)
         prepared.append(d)
+        # lcm(lm_i, lm) of every member i, for both passes below.
+        with_h = {i: lcm(p[0], lm) for i, p in members.items()}
+
+        def low_with_h(i: int) -> int:
+            return with_h[i][1] if i in with_h else lcm(prepared[i][0], lm)[1]
+
         # Gebauer–Möller.  An old pair goes if lm divides its lcm, unless the
         # lcm is also that of one of its elements with h.
-        queued = len(pairs)
-        pairs = [
-            (m, i, j, low) for m, i, j, low in pairs
-            if (low - lm) & guards
-            or low in (lcm(prepared[i][0], lm)[1], lcm(prepared[j][0], lm)[1])
+        kept_pairs = [
+            pair for pair in pairs
+            if (pair[3] - lm) & guards or pair[3] in (low_with_h(pair[1]), low_with_h(pair[2]))
         ]
-        heapify(pairs)
-        count["gm_skips"] += queued - len(pairs)
+        if len(kept_pairs) < len(pairs):
+            count["gm_skips"] += len(pairs) - len(kept_pairs)
+            pairs = kept_pairs
+            heapify(pairs)
         # A new pair goes if another new pair's lcm divides its own; of equal
         # lcms one stays, a coprime one if there is one.  Smallest lcm first, so
         # only kept pairs need checking.  Coprime survivors prune, then go.
-        fresh = sorted(
-            (m, low != p[0] + lm, i, low) for i, p in members.items() for m, low in [lcm(p[0], lm)]
-        )
+        fresh = sorted((m, low != members[i][0] + lm, i, low) for i, (m, low) in with_h.items())
         count["pairs"] += len(fresh)
         kept: list[int] = []
         for m, shares, i, low in fresh:
-            if any(not (low - other) & guards for other in kept):
-                count["gm_skips"] += 1
-                continue
-            kept.append(low)
-            if shares:
-                heappush(pairs, (m, i, new, low))
+            for other in kept:
+                if not (low - other) & guards:
+                    count["gm_skips"] += 1
+                    break
             else:
-                count["product_skips"] += 1
+                kept.append(low)
+                if shares:
+                    heappush(pairs, (m, i, new, low))
+                else:
+                    count["product_skips"] += 1
         # Elements whose leading monomial lm divides leave the divisor set.
         members = {i: p for i, p in members.items() if (p[0] - lm) & guards}
         members[new] = d
@@ -739,8 +751,12 @@ def _buchberger(ideal: Ideal, order: str, generators: list, packing: _Packing) -
     ]
     count["reductions"] += len(keep)
     reduced = sorted((_monic(r.terms) for r in reduced), key=lambda t: t[0][0], reverse=True)
-    monomials = packing.unpack([k for terms in basis for k, _ in terms])
-    count["max_degree"] = max(map(sum, monomials), default=0)
+    if packing.lex:
+        monomials = packing.unpack([k for terms in basis for k, _ in terms])
+        count["max_degree"] = max(map(sum, monomials), default=0)
+    else:  # each leading key's degree, as `Polynomial.total_degree` reads it
+        top = packing.mask.bit_length()
+        count["max_degree"] = max((-(-terms[0][0] >> top) for terms in basis), default=0)
     count["max_terms"] = max(map(len, basis), default=0)
     sizes = [x.bit_length() for terms in basis for _, c in terms for x in c.as_integer_ratio()]
     count["max_coeff_bits"] = max(sizes, default=0)

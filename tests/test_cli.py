@@ -245,8 +245,8 @@ _CAPPED = 'group JSON: "{}" has a polynomial of degree over 1000000'
         ("delta", {"u": "u'^1000001"}, _CAPPED.format("delta")),
         ("antipode", {"u": "u^1000000 * u"}, _CAPPED.format("antipode")),
         ("matrix", [["u^1000001"]], _CAPPED.format("matrix")),
-        # No polynomial holds this degree, so the reader refuses it before the cap.
-        ("ideal", [f"u^{2**64}"], f"degree bound {2**64} does not fit a 64-bit exponent"),
+        # No polynomial holds this degree; the reader names the key all the same.
+        ("ideal", [f"u^{2**64}"], _CAPPED.format("ideal")),
     ],
 )
 def test_a_target_polynomial_past_the_degree_cap_exits_two(tmp_path, key, value, message):
@@ -265,6 +265,35 @@ def test_a_target_polynomial_at_the_degree_cap_is_read(tmp_path):
     target = {"variables": ["u"], "ideal": ["u^1000000 - 1"], "counit": {"u": 1}}
     path.write_text(json.dumps({**target, "delta": {"u": "u'*u''"}, "antipode": {"u": "u^999999"}}))
     assert invoke("cotangent", "--target", str(path)) == (0, "dimension: 0\n", "")
+
+
+_OVER_BITS = 'group JSON: "counit" makes a term of "{}" over 2000000 bits'
+
+
+@pytest.mark.parametrize(
+    "key, value, counit, message",
+    [
+        # 10^64 takes 213 bits and its denominator 1: 214 bits a degree.
+        ("ideal", ["u^100000 - 1"], 10**64, _OVER_BITS.format("ideal")),
+        ("ideal", ["u^9346 - 1"], 10**64, _OVER_BITS.format("ideal")),
+        ("ideal", ["u^9345 - 1"], 10**64, "custom: counit is not a zero of generator u^9345 - 1"),
+        ("delta", {"u": "u'^9346 * u''"}, 10**64, _OVER_BITS.format("delta")),
+        ("matrix", [["u^9346"]], 10**64, _OVER_BITS.format("matrix")),
+        # -2/3 takes 2 bits and 2 more for its denominator.
+        ("ideal", ["u^500001"], "-2/3", _OVER_BITS.format("ideal")),
+        ("ideal", ["u^500000"], "-2/3", "custom: counit is not a zero of generator u^500000"),
+    ],
+)
+def test_a_target_term_too_large_at_the_counit_exits_two(tmp_path, key, value, counit, message):
+    # Evaluating u^100000 - 1 at 10^64 once took about 7 s before the refusal.
+    path = tmp_path / "counit.json"
+    target = {"variables": ["u"], "counit": {"u": counit}, "delta": {"u": "u'*u''"}, "antipode": {"u": "u"}}
+    path.write_text(json.dumps({**target, key: value}))
+    start = time.perf_counter()
+    code, out, err = invoke("cotangent", "--target", str(path))
+    if message.startswith("group JSON"):
+        assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("reader", ["Lie relator", "target ideal"])
